@@ -3,21 +3,23 @@
 Every differentiable quantity is a Tensor holding a value array and, after
 backward(), a gradient of the same shape.  Ops are free functions that record
 a closure computing the parent gradients from the output gradient.  The op
-set is exactly what the model layers need: dense linear algebra, pointwise
-nonlinearities, softmaxes (dense-masked and segment forms), 1-d convolution
-and pooling, and the three losses.
+set is exactly what the model layers need: dense linear algebra, propagation
+through a constant sparse graph operator, pointwise nonlinearities, edge-list
+gather / scatter / segment ops, 1-d convolution and pooling, and the three
+losses.  Inside `with no_grad():` ops record nothing, for forward-only passes.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
 __all__ = [
     "Tensor", "Parameter", "SegmentIndex", "GatherPlan",
-    "add", "sub", "mul", "div", "neg", "matmul", "transpose", "reshape",
+    "add", "sub", "mul", "div", "neg", "matmul", "propagate", "transpose", "reshape",
     "concat", "relu", "leaky_relu", "sigmoid", "exp", "log",
-    "row_softmax", "masked_neighbor_softmax",
-    "conv1d", "maxpool1d", "mean_rows", "max_rows", "sum_", "mean_",
+    "conv1d", "maxpool1d", "sum_", "mean_",
     "take_rows", "put_rows", "segment_sum", "repeat_segments", "segment_max",
     "cross_entropy", "bce_matrix", "mse_matrix", "grad_check",
 ]
@@ -125,9 +127,6 @@ class Tensor:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = pg
-        # self may itself be a leaf parameter
-        if self._backward is None and self.requires_grad and id(self) not in visited:
-            pass
 
 
 class Parameter(Tensor):
@@ -147,8 +146,22 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no autodiff graph inside the block: outputs are plain constants."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _node(data, parents, backward):
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
     return Tensor(data)
 
@@ -225,6 +238,21 @@ def matmul(a, b):
     return _node(out, (a, b), backward)
 
 
+def propagate(s, x):
+    """s @ x over the leading (node) axis for a constant matrix s, usually sparse.
+
+    x is (n, ...) and the result (m, ...) keeps x's trailing axes.  Only x
+    gets a gradient, s.T @ g: the constant s never costs a dense gradient.
+    """
+    x = _as_tensor(x)
+    if x.ndim < 1 or s.shape[1] != x.data.shape[0]:
+        raise ShapeError(f"propagate operator {s.shape} does not fit operand {x.data.shape}")
+    n, m = s.shape[1], s.shape[0]
+    out = (s @ x.data.reshape(n, -1)).reshape((m,) + x.data.shape[1:])
+    st = s.T
+    return _node(out, (x,), lambda g: ((st @ g.reshape(m, -1)).reshape(x.data.shape),))
+
+
 def transpose(a, axes):
     a = _as_tensor(a)
     inv = np.argsort(axes)
@@ -298,72 +326,6 @@ def mean_(a, axis=None, keepdims=False):
     a = _as_tensor(a)
     n = a.data.size if axis is None else a.data.shape[axis]
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def mean_rows(a):
-    """Mean over axis 0 (aggregate a set of row vectors)."""
-    return mean_(_as_tensor(a), axis=0)
-
-
-def max_rows(a):
-    """Elementwise max over axis 0; gradient flows to the argmax rows only."""
-    a = _as_tensor(a)
-    if a.data.shape[0] == 0:
-        raise ShapeError("max_rows of an empty row set")
-    idx = a.data.argmax(axis=0)
-    out = a.data.max(axis=0)
-
-    def backward(g):
-        da = np.zeros_like(a.data)
-        cols = np.arange(a.data.shape[1]) if a.ndim == 2 else ()
-        if a.ndim == 1:
-            da[idx] = g
-        else:
-            da[idx, cols] = g
-        return (da,)
-
-    return _node(out, (a,), backward)
-
-
-# ---------------------------------------------------------------------------
-# softmaxes
-
-def row_softmax(a):
-    """Softmax along the last axis, max-subtracted for stability."""
-    a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - dot),)
-
-    return _node(p, (a,), backward)
-
-
-def masked_neighbor_softmax(scores, mask):
-    """Per-row softmax restricted to True entries of a boolean mask.
-
-    Rows whose mask is all-False come out as all zeros.  Used for dense GAT
-    attention where the mask is the neighborhood (incl. self) indicator.
-    """
-    scores = _as_tensor(scores)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != scores.data.shape:
-        raise ShapeError(f"mask shape {mask.shape} != scores shape {scores.data.shape}")
-    neg_inf = np.where(mask, scores.data, -np.inf)
-    rowmax = neg_inf.max(axis=-1, keepdims=True)
-    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    e = np.where(mask, np.exp(neg_inf - rowmax), 0.0)
-    denom = e.sum(axis=-1, keepdims=True)
-    p = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
-
-    def backward(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - dot),)
-
-    return _node(p, (scores,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import diagnose as dg
 from . import faultgen as fg
 from . import graph as gr
@@ -163,7 +164,8 @@ def cmd_train(args):
                 model, _, norm = dg.train_graph_level(dataset, masks, spec,
                                                       sensor_graph_source=source)
                 xs = (dataset.samples - norm[0]) / norm[1]
-                pred = model.forward(xs[masks["test"]]).data.argmax(axis=1)
+                with ad.no_grad():
+                    pred = model.forward(xs[masks["test"]]).data.argmax(axis=1)
             else:
                 spec.architecture = name
                 if name == "knn-classifier":
@@ -171,7 +173,8 @@ def cmd_train(args):
                     pred = clf.predict(xs[masks["test"]])
                 else:
                     model, _, inputs = dg.train_baseline(dataset, masks, spec)
-                    pred = model.forward(inputs[masks["test"]]).data.argmax(axis=1)
+                    with ad.no_grad():
+                        pred = model.forward(inputs[masks["test"]]).data.argmax(axis=1)
             rep = dg.evaluate_predictions(dataset.labels[masks["test"]], pred,
                                           dataset.n_classes, graph_quality=quality,
                                           fingerprint=fingerprint, seeds=[seed])
@@ -224,7 +227,9 @@ def cmd_report(args):
 
 # ---------------------------------------------------------------------------
 
-def build_parser():
+def build_parser(config=None):
+    """The argument parser; `config` (a --config file's contents) replaces
+    the subcommand defaults, so flags given on the command line still win."""
     parser = argparse.ArgumentParser(
         prog="graphdiag",
         description="Graph-neural-network fault diagnosis toolkit")
@@ -234,7 +239,6 @@ def build_parser():
         p.add_argument("--config", type=Path, help="JSON config file; flags override")
         p.add_argument("--seed", type=int, help="master seed (or GRAPHDIAG_SEED)")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--workers", type=int, default=1)
         if dataset:
             p.add_argument("--dataset", help="dataset directory path")
             p.add_argument("--preset", choices=sorted(fg.PRESETS),
@@ -282,33 +286,31 @@ def build_parser():
     p = sub.add_parser("report", help="print aggregate reports from an output dir")
     common(p, dataset=False, graphopts=False, trainopts=False)
     p.set_defaults(func=cmd_report)
+    for p in sub.choices.values():
+        p.set_defaults(**(config or {}))
     return parser
 
 
-def _apply_config_file(args):
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        cfg = json.loads(path.read_text())
-        for key, value in cfg.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) in (None, parser_default(attr)):
-                setattr(args, attr, value)
-    return args
-
-
-def parser_default(attr):
-    defaults = {"graph": "knn", "k": 45, "tau": 0.9, "model": "gcn",
-                "train_size": 50, "val_size": 30, "out": "out", "workers": 1}
-    return defaults.get(attr)
+def _read_config(path, args):
+    """The --config file as {dest: value}; every key must be an option of args."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    cfg = {key.replace("-", "_"): value for key, value in doc.items()}
+    unknown = sorted(k for k in cfg if k not in vars(args) or k in ("command", "func", "config"))
+    if unknown:
+        raise ConfigError(f"unknown config keys for {args.command}: {unknown}")
+    return cfg
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args = _apply_config_file(args)
+        if args.config:
+            args = build_parser(_read_config(args.config, args)).parse_args(argv)
         if args.command == "generate" and not getattr(args, "preset", None):
             raise ConfigError("generate requires --preset")
         return args.func(args)

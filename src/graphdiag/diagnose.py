@@ -140,21 +140,17 @@ def train_node_level(architecture, g, masks, spec, n_classes=None):
         if not np.isfinite(loss.data):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
         trace.append(loss.item())
-        loss.backward()
-        opt.step()
         if use_val:
+            # the logits came from the parameters as they are before this step
             pred = logits.data.argmax(axis=1)
             acc = float((pred[masks["val"]] == safe_labels[masks["val"]]).mean())
             if acc >= best[1]:
                 best = (_snapshot(model.params), acc)
+        loss.backward()
+        opt.step()
     if use_val and spec.epochs > 0:
         _restore(model.params, best[0])
     return model, trace
-
-
-def train_gae(features, g, spec=None):
-    """Edge-level diagnosis support: returns (A_hat, model, loss trace)."""
-    return gb.train_gae_on_graph(features, g, spec)
 
 
 def correlation_sensor_graph(samples, threshold=0.5):
@@ -211,7 +207,8 @@ def train_graph_level(dataset, masks, spec, sensor_graph_source="train",
             opt.step()
         trace.append(total / len(order))
         if len(val_idx):
-            pred = model.forward(xs[val_idx]).data.argmax(axis=1)
+            with ad.no_grad():
+                pred = model.forward(xs[val_idx]).data.argmax(axis=1)
             acc = float((pred == dataset.labels[val_idx]).mean())
             if acc >= best[1]:
                 best = (_snapshot(model.params), acc)
@@ -261,7 +258,8 @@ def train_baseline(dataset, masks, spec):
         loss.backward()
         opt.step()
         if len(val_idx):
-            pred = model.forward(inputs[val_idx]).data.argmax(axis=1)
+            with ad.no_grad():
+                pred = model.forward(inputs[val_idx]).data.argmax(axis=1)
             acc = float((pred == dataset.labels[val_idx]).mean())
             if acc >= best[1]:
                 best = (_snapshot(model.params), acc)
@@ -340,7 +338,8 @@ def evaluate_predictions(true, pred, n_classes, graph_quality=None,
 
 def predict_node_level(model, g, features=None):
     x = Tensor(gb.standardize(g.features if features is None else features))
-    return model.forward(x, g).data.argmax(axis=1)
+    with ad.no_grad():
+        return model.forward(x, g).data.argmax(axis=1)
 
 
 def aggregate_reports(reports, fingerprint=""):
@@ -348,15 +347,10 @@ def aggregate_reports(reports, fingerprint=""):
     accs = np.array([r.accuracy for r in reports])
     cm = np.sum([r.confusion for r in reports], axis=0)
     seeds = [s for r in reports for s in r.seeds]
-    agg = evaluate_predictions([0], [0], cm.shape[0])  # placeholder shape
-    agg.confusion = cm
-    agg.accuracy = float(accs.mean())
-    agg.std = float(accs.std())
-    agg.per_class = []
-    agg.graph_quality = reports[0].graph_quality
-    agg.config_fingerprint = fingerprint
-    agg.seeds = seeds
-    return agg
+    return DiagnosisReport(accuracy=float(accs.mean()), std=float(accs.std()),
+                           confusion=cm, per_class=[],
+                           graph_quality=reports[0].graph_quality,
+                           config_fingerprint=fingerprint, seeds=seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +400,8 @@ def run_baseline_experiment(architecture, dataset, n_train, n_val, seed, spec=No
         pred = clf.predict(xs[masks["test"]])
     else:
         model, _, inputs = train_baseline(dataset, masks, spec)
-        pred = model.forward(inputs[masks["test"]]).data.argmax(axis=1)
+        with ad.no_grad():
+            pred = model.forward(inputs[masks["test"]]).data.argmax(axis=1)
     return float((pred == dataset.labels[masks["test"]]).mean())
 
 

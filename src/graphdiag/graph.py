@@ -3,7 +3,11 @@
 A Graph is immutable after construction: a sorted (i < j) edge array plus
 per-node neighbor lists, with optional node features, labels, and
 train/val/test masks.  Self-loops are never stored; the +I used by the
-symmetric normalization is applied inside normalized_adjacency only.
+symmetric normalization is applied inside its operator only.
+
+Operators derived from a graph's structure (the sparse propagation matrices
+and the attention edge index) are built on first use and kept on the Graph,
+so every model that runs on the same graph shares one copy.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ class GraphError(ValueError):
 
 
 class Graph:
-    __slots__ = ("n", "edges", "_neighbors", "features", "labels", "masks", "_hash")
+    __slots__ = ("n", "edges", "_neighbors", "features", "labels", "masks", "_hash",
+                 "_derived")
 
     def __init__(self, n, edges, features=None, labels=None, masks=None):
         self.n = int(n)
+        self._derived = {}
         edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
         if len(edges):
             lo = np.minimum(edges[:, 0], edges[:, 1])
@@ -86,6 +92,18 @@ class Graph:
             a[self.edges[:, 1], self.edges[:, 0]] = 1.0
         return a
 
+    def derived(self, build):
+        """`build(self)`, computed on the first call for `build` and kept.
+
+        A Graph never changes after construction, so an operator derived
+        from its structure stays valid for the graph's lifetime.
+        """
+        try:
+            return self._derived[build]
+        except KeyError:
+            value = self._derived[build] = build(self)
+            return value
+
     def with_data(self, features=None, labels=None, masks=None):
         """Copy of this graph's structure with data fields replaced."""
         return Graph(self.n, self.edges,
@@ -114,30 +132,60 @@ def from_edge_list(pairs, n):
     return Graph(n, np.asarray(list(pairs), dtype=np.intp).reshape(-1, 2))
 
 
-def degree_matrix(g):
-    return g.degrees()
-
-
 def laplacian(g):
     """L = D - A as a dense matrix."""
     a = g.adjacency()
     return np.diag(g.degrees().astype(np.float64)) - a
 
 
+def _csr(values, rows, cols, n):
+    # scipy.sparse takes ~0.2 s to import; only these operators need it
+    from scipy import sparse
+
+    m = sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
+    m.sort_indices()
+    return m
+
+
+def _directed_edges(g):
+    return (np.concatenate([g.edges[:, 0], g.edges[:, 1]]),
+            np.concatenate([g.edges[:, 1], g.edges[:, 0]]))
+
+
+def _build_sym_propagation(g):
+    loops = np.arange(g.n)
+    rows, cols = _directed_edges(g)
+    rows, cols = np.concatenate([rows, loops]), np.concatenate([cols, loops])
+    dinv = 1.0 / np.sqrt(np.bincount(rows, minlength=g.n))
+    return _csr(dinv[rows] * dinv[cols], rows, cols, g.n)
+
+
+def _build_mean_propagation(g):
+    rows, cols = _directed_edges(g)
+    return _csr(1.0 / np.bincount(rows, minlength=g.n)[rows], rows, cols, g.n)
+
+
+def sym_propagation(g):
+    """D~^{-1/2} (A + I) D~^{-1/2} as a CSR matrix, cached on g; indices sorted."""
+    return g.derived(_build_sym_propagation)
+
+
+def mean_propagation(g):
+    """Row-normalized adjacency D^{-1} A as a CSR matrix, cached on g.
+
+    Isolated nodes get an empty row; column indices are sorted.
+    """
+    return g.derived(_build_mean_propagation)
+
+
 def normalized_adjacency(g):
-    """Symmetric normalization D~^{-1/2} (A + I) D~^{-1/2}."""
-    a = g.adjacency() + np.eye(g.n)
-    dinv = 1.0 / np.sqrt(a.sum(axis=1))
-    return a * dinv[:, None] * dinv[None, :]
+    """Symmetric normalization D~^{-1/2} (A + I) D~^{-1/2}, dense."""
+    return sym_propagation(g).toarray()
 
 
 def mean_aggregation_matrix(g):
-    """Row-normalized adjacency D^{-1} A; isolated nodes get a zero row."""
-    a = g.adjacency()
-    deg = a.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        dinv = np.where(deg > 0, 1.0 / deg, 0.0)
-    return a * dinv[:, None]
+    """Row-normalized adjacency D^{-1} A, dense; isolated nodes get a zero row."""
+    return mean_propagation(g).toarray()
 
 
 def permute(g, perm):

@@ -18,6 +18,8 @@ from .graph import Graph, GraphError
 from .models import GaeModel, default_spec
 from .optim import make_optimizer
 
+# elements of the (rows, N, d) difference block one KNN chunk may form
+KNN_CHUNK_ELEMENTS = 2_000_000
 FEATURES_PER_CHANNEL = 12
 FEATURE_NAMES = [
     "mean", "std", "rms", "peak_to_peak", "skewness", "kurtosis",
@@ -100,13 +102,12 @@ def nearest_neighbor_table(features, k):
     if not 1 <= k < n:
         raise ValueError(f"K={k} out of range for N={n}")
     table = np.empty((n, k), dtype=np.intp)
-    chunk = max(1, int(2e6) // max(1, n))
+    chunk = max(1, KNN_CHUNK_ELEMENTS // (n * max(1, f.shape[1])))
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
         diff = f[start:stop, None, :] - f[None, :, :]
         d2 = (diff * diff).sum(axis=2)
-        for i in range(start, stop):
-            d2[i - start, i] = np.inf
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
         # stable argsort breaks distance ties toward the lower index
         table[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
     return table
@@ -158,7 +159,8 @@ def train_gae_on_graph(features, g, spec=None, rng_seed=None):
         trace.append(loss.item())
         loss.backward()
         opt.step()
-    recon = model.forward(x, g)
+    with ad.no_grad():
+        recon = model.forward(x, g)
     return recon.data, model, trace
 
 

@@ -1,10 +1,12 @@
 """GNN layers, assembled diagnosis models, and the non-graph baselines.
 
 Layers operate on the autodiff Tensor type and keep their Parameters in a
-`params` list so the optimizers and checkpoints can reach them.  GCN-style
-propagation uses a dense normalized adjacency (desk-scale graphs stay under
-the dense cap); GAT additionally has an edge-list path that scales to
-~1e5-edge graphs.
+`params` list so the optimizers and checkpoints can reach them.  Graph layers
+take `(x, g)` and read their operators from the per-Graph cache: GCN, the
+GraphSage mean and gcn aggregators, the GAE encoder and the STGCN sensor
+mixing propagate through a sparse normalized adjacency; GAT attention and
+the GraphSage pool aggregator run on edge lists.  No layer forms a dense
+N x N matrix; only the GAE decoder's reconstruction is dense by nature.
 """
 
 from __future__ import annotations
@@ -84,23 +86,21 @@ class GcnLayer:
         self.activation = activation
         self.params = [self.theta]
 
-    def __call__(self, x, s):
-        z = ad.matmul(ad.matmul(s, x), self.theta)
+    def __call__(self, x, g):
+        z = ad.matmul(ad.propagate(gr.sym_propagation(g), x), self.theta)
         return ad.relu(z) if self.activation == "relu" else z
 
 
 class GatEdgeIndex:
-    """Directed (dst, src) edge arrays incl. self-loops, sorted by dst."""
+    """Directed (dst, src) edges of A + I, sorted by dst then src.
+
+    Built once per graph through `g.derived(GatEdgeIndex)`.
+    """
 
     def __init__(self, g):
-        dst, src = [], []
-        for v in range(g.n):
-            nb = g.neighbors(v)
-            dst.extend([v] * (len(nb) + 1))
-            src.extend(nb.tolist())
-            src.append(v)
-        self.dst = np.asarray(dst, dtype=np.intp)
-        self.src = np.asarray(src, dtype=np.intp)
+        pattern = gr.sym_propagation(g)
+        self.dst = np.repeat(np.arange(g.n), np.diff(pattern.indptr))
+        self.src = pattern.indices.astype(np.intp)
         self.seg = ad.SegmentIndex.from_sorted_ids(self.dst)
         self.src_plan = ad.GatherPlan(self.src, g.n)
         self.dst_plan = ad.GatherPlan(self.dst, g.n)
@@ -114,7 +114,6 @@ class GatLayer:
     """
 
     LEAKY_SLOPE = 0.2
-    DENSE_LIMIT = 256  # graphs above this use the edge-list path
 
     def __init__(self, c_in, c_out, heads, rng, merge="concat",
                  activation="relu", name="gat"):
@@ -126,39 +125,11 @@ class GatLayer:
         self.a_nbr = Parameter(glorot(rng, (heads, c_out)), name=f"{name}.a_nbr")
         self.params = [self.w, self.a_self, self.a_nbr]
 
-    def _activate(self, z):
-        return ad.relu(z) if self.activation == "relu" else z
-
-    def __call__(self, x, g, edge_index=None):
-        n = g.n
-        if edge_index is None and n > self.DENSE_LIMIT:
-            edge_index = GatEdgeIndex(g)
+    def _attend(self, x, ei, n):
+        """Projected features (N, H, c_out) and per-edge attention (E, H)."""
         xp = ad.reshape(ad.matmul(x, self.w), (n, self.heads, self.c_out))
         s_self = ad.sum_(ad.mul(xp, self.a_self), axis=2)   # (N, H)
         s_nbr = ad.sum_(ad.mul(xp, self.a_nbr), axis=2)     # (N, H)
-        if edge_index is None:
-            out = self._dense_attend(xp, s_self, s_nbr, g)
-        else:
-            out = self._edge_attend(xp, s_self, s_nbr, edge_index, n)
-        if self.merge == "concat":
-            merged = ad.reshape(out, (n, self.heads * self.c_out))
-        else:
-            merged = ad.mean_(out, axis=1)
-        return self._activate(merged)
-
-    def _dense_attend(self, xp, s_self, s_nbr, g):
-        mask = g.adjacency().astype(bool) | np.eye(g.n, dtype=bool)
-        heads_out = []
-        for h in range(self.heads):
-            si = ad.reshape(_take_col(s_self, h), (g.n, 1))
-            sj = ad.reshape(_take_col(s_nbr, h), (1, g.n))
-            scores = ad.leaky_relu(ad.add(si, sj), self.LEAKY_SLOPE)
-            alpha = ad.masked_neighbor_softmax(scores, mask)
-            xph = _take_head(xp, h)                    # (N, c_out)
-            heads_out.append(ad.reshape(ad.matmul(alpha, xph), (g.n, 1, self.c_out)))
-        return ad.concat(heads_out, axis=1)            # (N, H, c_out)
-
-    def _edge_attend(self, xp, s_self, s_nbr, ei, n):
         scores = ad.leaky_relu(
             ad.add(ad.take_rows(s_self, ei.dst, ei.dst_plan),
                    ad.take_rows(s_nbr, ei.src, ei.src_plan)),
@@ -166,41 +137,32 @@ class GatLayer:
         shift = np.maximum.reduceat(scores.data, ei.seg.starts, axis=0)
         e = ad.exp(ad.sub(scores, Tensor(np.repeat(shift, ei.seg.lengths, axis=0))))
         denom = ad.repeat_segments(ad.segment_sum(e, ei.seg), ei.seg)
-        alpha = ad.div(e, denom)
+        return xp, ad.div(e, denom)
+
+    def __call__(self, x, g):
+        n = g.n
+        ei = g.derived(GatEdgeIndex)
+        xp, alpha = self._attend(x, ei, n)
         msg = ad.mul(ad.reshape(alpha, alpha.shape + (1,)),
                      ad.take_rows(xp, ei.src, ei.src_plan))
-        return ad.segment_sum(msg, ei.seg)             # (N, H, c_out)
+        out = ad.segment_sum(msg, ei.seg)              # (N, H, c_out)
+        if self.merge == "concat":
+            merged = ad.reshape(out, (n, self.heads * self.c_out))
+        else:
+            merged = ad.mean_(out, axis=1)
+        return ad.relu(merged) if self.activation == "relu" else merged
 
     def attention_weights(self, x, g):
         """Per-head dense attention matrices (no grad), for export/tests."""
-        n = g.n
-        xp = ad.reshape(ad.matmul(x, self.w), (n, self.heads, self.c_out))
-        s_self = ad.sum_(ad.mul(xp, self.a_self), axis=2)
-        s_nbr = ad.sum_(ad.mul(xp, self.a_nbr), axis=2)
-        mask = g.adjacency().astype(bool) | np.eye(n, dtype=bool)
+        ei = g.derived(GatEdgeIndex)
+        with ad.no_grad():
+            alpha = self._attend(x, ei, g.n)[1].data
         mats = []
         for h in range(self.heads):
-            scores = ad.leaky_relu(
-                ad.add(ad.reshape(_take_col(s_self, h), (n, 1)),
-                       ad.reshape(_take_col(s_nbr, h), (1, n))), self.LEAKY_SLOPE)
-            mats.append(ad.masked_neighbor_softmax(scores, mask).data)
+            mat = np.zeros((g.n, g.n))
+            mat[ei.dst, ei.src] = alpha[:, h]
+            mats.append(mat)
         return mats
-
-
-def _take_col(t, h):
-    # column h of an (N, H) tensor as (N,) via constant selector matmul
-    sel = np.zeros((t.shape[1], 1))
-    sel[h, 0] = 1.0
-    return ad.matmul(t, sel)
-
-
-def _take_head(t, h):
-    # head slice (N, c) of an (N, H, c) tensor
-    n, heads, c = t.shape
-    flat = ad.reshape(t, (n, heads * c))
-    sel = np.zeros((heads * c, c))
-    sel[h * c:(h + 1) * c] = np.eye(c)
-    return ad.matmul(flat, sel)
 
 
 class SageLayer:
@@ -224,41 +186,27 @@ class SageLayer:
             self.b_pool = Parameter(np.zeros(c_in), name=f"{name}.b_pool")
             self.params += [self.w_pool, self.b_pool]
 
-    _agg_cache = {}
-
-    def _agg_matrix(self, g):
-        key = (self.aggregator, g)
-        if key not in SageLayer._agg_cache:
-            mat = (gr.mean_aggregation_matrix(g) if self.aggregator == "mean"
-                   else gr.normalized_adjacency(g))
-            SageLayer._agg_cache[key] = Tensor(mat)
-            if len(SageLayer._agg_cache) > 8:
-                SageLayer._agg_cache.pop(next(iter(SageLayer._agg_cache)))
-        return SageLayer._agg_cache[key]
-
     def __call__(self, x, g):
-        if self.aggregator in ("mean", "gcn"):
-            agg = ad.matmul(self._agg_matrix(g), x)
+        if self.aggregator == "mean":
+            agg = ad.propagate(gr.mean_propagation(g), x)
+        elif self.aggregator == "gcn":
+            agg = ad.propagate(gr.sym_propagation(g), x)
         else:
             agg = self._pool_aggregate(x, g)
         z = ad.matmul(ad.concat([x, agg], axis=1), self.w)
         return ad.relu(z) if self.activation == "relu" else z
 
     def _pool_aggregate(self, x, g):
-        dst, src = [], []
-        for v in range(g.n):
-            for u in g.neighbors(v):
-                dst.append(v)
-                src.append(u)
-        if not dst:
+        # neighbor lists are the rows of the D^-1 A pattern; isolated rows are empty
+        pattern = gr.mean_propagation(g)
+        if not pattern.nnz:
             return Tensor(np.zeros_like(x.data))
-        dst = np.asarray(dst, dtype=np.intp)
-        src = np.asarray(src, dtype=np.intp)
-        seg = ad.SegmentIndex.from_sorted_ids(dst)
+        present = np.flatnonzero(np.diff(pattern.indptr))
+        seg = ad.SegmentIndex(pattern.indptr[present], pattern.nnz)
+        src = pattern.indices.astype(np.intp)
         transformed = ad.relu(ad.add(ad.matmul(x, self.w_pool), self.b_pool))
         gathered = ad.take_rows(transformed, src, ad.GatherPlan(src, g.n))
         pooled = ad.segment_max(gathered, seg)
-        present = dst[seg.starts]
         return ad.put_rows(pooled, present, g.n)
 
 
@@ -312,15 +260,9 @@ class GcnModel:
         self.fc2 = Dense(hidden, n_classes, rng, name="fc2")
         self.params = (self.gc.params + [p for c in self.convs for p in c.params]
                        + self.fc1.params + self.fc2.params)
-        self._s_cache = {}
-
-    def _s(self, g):
-        if g not in self._s_cache:
-            self._s_cache[g] = Tensor(gr.normalized_adjacency(g))
-        return self._s_cache[g]
 
     def forward(self, x, g):
-        z = self.gc(x, self._s(g))                      # (N, gc_width)
+        z = self.gc(x, g)                               # (N, gc_width)
         h = ad.reshape(z, (z.shape[0], z.shape[1], 1))  # treat width as a sequence
         for conv in self.convs:
             h = conv(h)
@@ -339,18 +281,9 @@ class GatModel:
         self.layer2 = GatLayer(spec.heads * per_head, n_classes, spec.heads, rng,
                                merge="average", activation="identity", name="gat2")
         self.params = self.layer1.params + self.layer2.params
-        self._ei_cache = {}
-
-    def _ei(self, g):
-        if g.n <= GatLayer.DENSE_LIMIT:
-            return None
-        if g not in self._ei_cache:
-            self._ei_cache[g] = GatEdgeIndex(g)
-        return self._ei_cache[g]
 
     def forward(self, x, g):
-        ei = self._ei(g)
-        return self.layer2(self.layer1(x, g, ei), g, ei)
+        return self.layer2(self.layer1(x, g), g)
 
 
 class SageModel:
@@ -380,13 +313,9 @@ class GaeModel:
         self.enc1 = GcnLayer(c_in, hidden, rng, activation="relu", name="enc1")
         self.enc2 = GcnLayer(hidden, latent, rng, activation="identity", name="enc2")
         self.params = self.enc1.params + self.enc2.params
-        self._s_cache = {}
 
     def encode(self, x, g):
-        if g not in self._s_cache:
-            self._s_cache = {g: Tensor(gr.normalized_adjacency(g))}
-        s = self._s_cache[g]
-        return self.enc2(self.enc1(x, s), s)
+        return self.enc2(self.enc1(x, g), g)
 
     def forward(self, x, g):
         z = self.encode(x, g)
@@ -402,6 +331,8 @@ class StgcnModel:
 
     Input (B, T, C) with one sensor per graph node; temporal blocks run
     convolution - max pooling - convolution independently per sensor.
+    Hidden states are sensor-major, (C*B, T, F), so the spatial block
+    propagates over a contiguous (C, B*T*F) view.
     """
 
     def __init__(self, n_channels, n_classes, spec, sensor_graph):
@@ -414,7 +345,7 @@ class StgcnModel:
         self.k1, self.k2 = k1, k2
         self.n_channels = n_channels
         self.sensor_graph = sensor_graph
-        self.s_norm = Tensor(gr.normalized_adjacency(sensor_graph))
+        self.s_norm = gr.sym_propagation(sensor_graph)
         self.t1a = Conv1dLayer(k1, 1, f1, rng, name="t1a")
         self.t1b = Conv1dLayer(k2, f1, f1, rng, name="t1b")
         self.theta = Parameter(glorot(rng, (f1, f2)), name="spatial.theta")
@@ -449,26 +380,20 @@ class StgcnModel:
             raise ad.ShapeError(
                 f"signal length {t} below the receptive field; need T >= {self.min_length()}")
         # temporal block 1, per sensor
-        h = ad.reshape(ad.transpose(x, (0, 2, 1)), (b * c, t, 1))
+        h = ad.reshape(ad.transpose(x, (2, 0, 1)), (c * b, t, 1))
         h = self.t1a(h)
         h = ad.maxpool1d(h, self.pool)
-        h = self.t1b(h)
-        t1 = h.shape[1]
-        f1 = h.shape[2]
+        h = self.t1b(h)                                 # (C*B, T1, F1)
         # spatial block: mix sensors through the normalized sensor adjacency
-        h = ad.reshape(h, (b, c, t1, f1))
-        h = ad.transpose(h, (0, 2, 3, 1))               # (B, T1, F1, C)
-        h = ad.matmul(h, self.s_norm)
-        h = ad.transpose(h, (0, 1, 3, 2))               # (B, T1, C, F1)
-        h = ad.relu(ad.matmul(h, self.theta))           # (B, T1, C, F2)
+        h = ad.reshape(ad.propagate(self.s_norm, ad.reshape(h, (c, -1))), h.shape)
+        h = ad.relu(ad.matmul(h, self.theta))           # (C*B, T1, F2)
         # temporal block 2, per sensor
-        f2 = h.shape[3]
-        h = ad.reshape(ad.transpose(h, (0, 2, 1, 3)), (b * c, t1, f2))
         h = self.t2a(h)
         h = ad.maxpool1d(h, self.pool)
         h = self.t2b(h)
-        h = ad.mean_(h, axis=1)                         # (B*C, F2)
-        h = ad.reshape(h, (b, c * f2))
+        h = ad.mean_(h, axis=1)                         # (C*B, F2)
+        f2 = h.shape[1]
+        h = ad.reshape(ad.transpose(ad.reshape(h, (c, b, f2)), (1, 0, 2)), (b, c * f2))
         return self.head(h)
 
 

@@ -217,6 +217,24 @@ class TestSeedsAndConfig:
         written = json.loads((out / "config.json").read_text())
         assert written["k"] == 4
 
+    def test_explicit_flag_equal_to_default_overrides_config_file(self, dataset_dir,
+                                                                 tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 3, "tau": 0.5}))
+        out = tmp_path / "g"
+        assert run(["build-graph", "--dataset", dataset_dir, "--config", cfg,
+                    "--tau", "0.9", "--out", out]) == 0
+        written = json.loads((out / "config.json").read_text())
+        assert written["tau"] == 0.9
+        assert written["k"] == 3
+
+    def test_unknown_config_key(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 3, "neighbours": 5}))
+        code = run(["build-graph", "--dataset", dataset_dir, "--config", cfg,
+                    "--out", tmp_path / "g"])
+        assert code == cli.EXIT_CONFIG
+
     def test_missing_config_file(self, dataset_dir, tmp_path):
         code = run(["build-graph", "--dataset", dataset_dir,
                     "--config", tmp_path / "nope.json", "--out", tmp_path / "g"])

@@ -98,6 +98,36 @@ class TestTrainNodeLevel:
         assert np.array_equal(dg.predict_node_level(model_a, g),
                               dg.predict_node_level(model_b, g2))
 
+    @pytest.mark.parametrize("arch", ["gcn", "gat", "graphsage"])
+    def test_restored_model_scores_best_validation_accuracy(self, arch, monkeypatch):
+        # record the validation accuracy of every epoch's training forward
+        rng = np.random.default_rng(6)
+        g = clustered_graph(rng, sep=1.0)
+        masks = dg.split(g.labels, dg.SplitSpec(15, 15, seed=2))
+        val = masks["val"]
+        accs = []
+        build = md.build_node_model
+
+        def recording_build(*args, **kwargs):
+            model = build(*args, **kwargs)
+            forward = model.forward
+
+            def recorded(x, graph):
+                out = forward(x, graph)
+                accs.append(float((out.data.argmax(axis=1)[val] == g.labels[val]).mean()))
+                return out
+
+            model.forward = recorded
+            return model
+
+        monkeypatch.setattr(md, "build_node_model", recording_build)
+        spec = md.default_spec(arch, epochs=8, lr=0.05, optimizer="adam", heads=2,
+                               widths=self.spec(arch).widths)
+        model, _ = dg.train_node_level(arch, g, masks, spec)
+        best = max(accs)
+        pred = dg.predict_node_level(model, g)
+        assert float((pred[val] == g.labels[val]).mean()) == best
+
     def test_empty_train_mask_rejected(self):
         rng = np.random.default_rng(5)
         g = clustered_graph(rng)

@@ -105,6 +105,24 @@ class TestNormalizedAdjacency:
             assert eig.max() <= 1 + 1e-9
 
 
+class TestMeanAggregation:
+    def test_rows_average_neighbors(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            g = random_graph(rng, int(rng.integers(1, 15)))
+            m = gr.mean_aggregation_matrix(g)
+            for v in range(g.n):
+                want = np.zeros(g.n)
+                nb = g.neighbors(v)
+                want[nb] = 1.0 / len(nb) if len(nb) else 0.0
+                assert np.array_equal(m[v], want)
+
+    def test_operators_built_once_per_graph(self):
+        g = gr.from_edge_list([(0, 1), (1, 2)], 3)
+        assert gr.sym_propagation(g) is gr.sym_propagation(g)
+        assert gr.mean_propagation(g) is gr.mean_propagation(g)
+
+
 class TestNeighbors:
     def test_path_middle(self):
         g = gr.from_edge_list([(0, 1), (1, 2)], 3)

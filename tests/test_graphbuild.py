@@ -106,6 +106,15 @@ class TestKnnGraph:
             got = gb.nearest_neighbor_table(f, k)
             assert np.array_equal(got, loops_neighbor_table(f, k))
 
+    def test_small_chunk_budget_matches_loop_oracle(self, monkeypatch):
+        # a budget below one row's n*d block forces one row per chunk
+        rng = np.random.default_rng(11)
+        f = rng.normal(size=(37, 5))
+        for budget in (1, 37 * 5 * 4):
+            monkeypatch.setattr(gb, "KNN_CHUNK_ELEMENTS", budget)
+            assert np.array_equal(gb.nearest_neighbor_table(f, 4),
+                                  loops_neighbor_table(f, 4))
+
     def test_edge_count_bounds(self):
         rng = np.random.default_rng(4)
         f = rng.normal(size=(40, 3))
