@@ -349,10 +349,11 @@ def conv1d(signal, kernel, stride=1):
 
     def backward(g):
         dx = np.zeros_like(x.data)
-        dw = np.zeros_like(w.data)
+        dw = np.empty_like(w.data)
+        g2 = g.reshape(-1, Fout)
         for k in range(K):
             xs = x.data[:, k:k + stride * Tout:stride, :]
-            dw[k] = np.einsum("btf,bto->fo", xs, g)
+            dw[k] = xs.reshape(-1, Fin).T @ g2
             dx[:, k:k + stride * Tout:stride, :] += g @ w.data[k].T
         return dx, dw
 
@@ -385,32 +386,39 @@ def maxpool1d(signal, window):
 # ---------------------------------------------------------------------------
 # gather / scatter / segment ops (edge-list message passing)
 
-class GatherPlan:
-    """Precomputed scatter plan for the backward pass of take_rows.
+def _summing_matrix(rows, n_rows):
+    """CSR 0/1 matrix m of shape (n_rows, len(rows)) with m[rows[e], e] = 1.
 
-    Sorting the gather indices once lets the scatter-add run through
-    reduceat instead of np.add.at, which matters on ~1e5-edge graphs.
+    m @ g adds each row g[e] into output row rows[e]; rows no entry names
+    stay zero.
+    """
+    # scipy.sparse takes ~0.2 s to import; only the edge-list ops need it
+    from scipy import sparse
+
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.arange(len(rows))
+    return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_rows, len(rows)))
+
+
+def _sum_rows(m, g):
+    """m @ g over g's leading axis; the trailing axes of g are kept."""
+    flat = g.reshape(g.shape[0], int(np.prod(g.shape[1:])))
+    return (m @ flat).reshape((m.shape[0],) + g.shape[1:])
+
+
+class GatherPlan:
+    """Precomputed scatter-add for the backward pass of take_rows.
+
+    The gradient of a[idx] adds row e of g into row idx[e].  One 0/1 summing
+    matrix, built with the plan, does that as a single sparse matmul, which
+    on ~1e5-edge graphs is far faster than np.add.at.
     """
 
     def __init__(self, idx, n_rows):
-        idx = np.asarray(idx, dtype=np.intp)
-        self.idx = idx
-        self.n_rows = int(n_rows)
-        self.order = np.argsort(idx, kind="stable")
-        sorted_idx = idx[self.order]
-        if len(sorted_idx):
-            boundaries = np.flatnonzero(np.diff(sorted_idx)) + 1
-            self.starts = np.concatenate(([0], boundaries))
-            self.rows = sorted_idx[self.starts]
-        else:
-            self.starts = np.zeros(0, dtype=np.intp)
-            self.rows = np.zeros(0, dtype=np.intp)
+        self.matrix = _summing_matrix(idx, n_rows)
 
     def scatter_add(self, g):
-        out = np.zeros((self.n_rows,) + g.shape[1:])
-        if len(self.rows):
-            out[self.rows] = np.add.reduceat(g[self.order], self.starts, axis=0)
-        return out
+        return _sum_rows(self.matrix, g)
 
 
 def take_rows(a, idx, plan=None):
@@ -450,6 +458,11 @@ class SegmentIndex:
         self.lengths = ends - self.starts
         if np.any(self.lengths <= 0):
             raise ShapeError("SegmentIndex segments must be non-empty")
+        # the 0/1 summing matrix (n_segments, total), built with the index: an
+        # index cached per graph then holds it from before the first epoch's
+        # large temporaries, and later runs on the graph keep the same peak RSS
+        self.matrix = _summing_matrix(np.repeat(np.arange(len(self.starts)), self.lengths),
+                                      len(self.starts))
 
     @classmethod
     def from_sorted_ids(cls, sorted_ids):
@@ -462,7 +475,7 @@ class SegmentIndex:
 def segment_sum(a, seg):
     """Sum rows within each segment: (E, ...) -> (n_segments, ...)."""
     a = _as_tensor(a)
-    out = np.add.reduceat(a.data, seg.starts, axis=0)
+    out = _sum_rows(seg.matrix, a.data)
     return _node(out, (a,), lambda g: (np.repeat(g, seg.lengths, axis=0),))
 
 
@@ -470,7 +483,7 @@ def repeat_segments(a, seg):
     """Inverse-shape op of segment_sum: broadcast one row per segment back to E rows."""
     a = _as_tensor(a)
     out = np.repeat(a.data, seg.lengths, axis=0)
-    return _node(out, (a,), lambda g: (np.add.reduceat(g, seg.starts, axis=0),))
+    return _node(out, (a,), lambda g: (_sum_rows(seg.matrix, g),))
 
 
 def segment_max(a, seg):

@@ -12,11 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
+FORMAT_VERSION = 1
+
 
 def save_checkpoint(stem, params, optimizer_hyperparameters=None):
     stem = Path(stem)
     manifest = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "parameters": [
             {"name": p.name, "shape": list(p.data.shape)} for p in params
         ],
@@ -33,10 +35,19 @@ def load_checkpoint(stem, params):
     stem = Path(stem)
     manifest = json.loads(stem.with_suffix(".json").read_text())
     blob = stem.with_suffix(".bin").read_bytes()
-    offset = 0
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"checkpoint {stem}: format_version {version!r} is not supported "
+            f"(expected {FORMAT_VERSION})")
     if len(manifest["parameters"]) != len(params):
         raise ValueError(
             f"checkpoint has {len(manifest['parameters'])} parameters, model has {len(params)}")
+    expected = 8 * sum(int(np.prod(entry["shape"])) for entry in manifest["parameters"])
+    if len(blob) != expected:
+        raise ValueError(
+            f"checkpoint {stem}: blob holds {len(blob)} bytes, manifest needs {expected}")
+    offset = 0
     for entry, p in zip(manifest["parameters"], params):
         shape = tuple(entry["shape"])
         if shape != p.data.shape:

@@ -157,6 +157,9 @@ def correlation_sensor_graph(samples, threshold=0.5):
     """Sensor graph over channels: edge where |Pearson r| >= threshold.
 
     samples: (B, T, C); correlations computed on the pooled time series.
+    At the default threshold the rectifier-like preset gets no edge at all
+    (its closest |r| is about 0.34), so STGCN's spatial block is the
+    identity on that preset.
     """
     x = np.asarray(samples, dtype=np.float64)
     b, t, c = x.shape

@@ -36,16 +36,18 @@ class Graph:
                 raise GraphError(f"edge endpoint out of range for n={self.n}")
             if np.any(lo == hi):
                 raise GraphError("self-loop in edge list")
-            edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
+            # one int64 key per edge: the order of unique(axis=0) without its slow row sort
+            key = np.unique(lo * self.n + hi)
+            edges = np.stack([key // self.n, key % self.n], axis=1)
         else:
             edges = np.zeros((0, 2), dtype=np.intp)
         self.edges = edges
         self.edges.setflags(write=False)
-        nbrs = [[] for _ in range(self.n)]
-        for i, j in edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        self._neighbors = [np.array(sorted(v), dtype=np.intp) for v in nbrs]
+        rows, cols = _directed_edges(self)
+        order = np.lexsort((cols, rows))
+        flat = cols[order]
+        flat.setflags(write=False)
+        self._neighbors = np.split(flat, np.cumsum(np.bincount(rows, minlength=self.n))[:-1])
         if features is not None:
             features = np.asarray(features, dtype=np.float64)
             if features.shape[0] != self.n:
@@ -77,11 +79,7 @@ class Graph:
         return self._neighbors[v]
 
     def degrees(self):
-        deg = np.zeros(self.n, dtype=np.intp)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def adjacency(self, cap=DENSE_CAP):
         if self.n > cap:

@@ -319,6 +319,7 @@ def test_criterion_4_link_reconstruction():
             f"mean AUC {mean_auc:.3f} over 5 seeds in {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_learning_curves(rectifier_curve):
     curve, elapsed = rectifier_curve
     sizes = curve["sizes"]
@@ -336,6 +337,7 @@ def test_criterion_5_learning_curves(rectifier_curve):
     verdict(5, "learning-curve ordering", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_6_graph_quality(rectifier, knn45):
     ds, feats = rectifier
     prior = gb.prior_partition_graph(ds.labels, features=feats, labels=ds.labels)
@@ -425,6 +427,7 @@ def test_criterion_8_reproducible_cli(tmp_path):
             "evaluate and curve outputs stable across reruns")
 
 
+@pytest.mark.slow
 def test_criterion_9_documented_protocol(rectifier_curve):
     curve, _ = rectifier_curve
     csv = dg.learning_curve_csv(curve)

@@ -139,6 +139,62 @@ class TestForwardValues:
         assert got == pytest.approx(2.5)
 
 
+class TestKernelOracles:
+    """The fast gather, segment and conv1d kernels against plain loops."""
+
+    @pytest.mark.parametrize("idx, n_rows, tail", [
+        ([3, 0, 3, 3, 1, 0], 5, (2,)),       # repeats; rows 2 and 4 never hit
+        ([4, 4, 4], 6, ()),                  # 1-d gradient, one hit row
+        ([], 4, (3,)),                       # empty index
+        ([2, 0, 2, 1, 2], 4, (3, 2)),        # (E, H, C) gradient
+    ])
+    def test_scatter_add_matches_add_at(self, idx, n_rows, tail):
+        rng = np.random.default_rng(len(idx) + n_rows)
+        g = rng.normal(size=(len(idx),) + tail)
+        expected = np.zeros((n_rows,) + tail)
+        np.add.at(expected, np.asarray(idx, dtype=np.intp), g)
+        out = ad.GatherPlan(idx, n_rows).scatter_add(g)
+        assert out.shape == expected.shape
+        assert np.abs(out - expected).max(initial=0.0) < 1e-12
+
+    def test_segment_sum_and_repeat_backward_3d(self):
+        rng = np.random.default_rng(11)
+        ids = np.array([0, 0, 0, 1, 2, 2, 3, 3, 3, 3])
+        seg = ad.SegmentIndex.from_sorted_ids(ids)
+        x = rng.normal(size=(10, 3, 2))
+        expected = np.zeros((4, 3, 2))
+        for e, s in enumerate(ids):
+            expected[s] += x[e]
+        assert np.abs(ad.segment_sum(ad.Tensor(x), seg).data - expected).max() < 1e-12
+        a = ad.Parameter(rng.normal(size=(4, 3, 2)))
+        out = ad.repeat_segments(a, seg)
+        assert np.array_equal(out.data, a.data[ids])
+        out.backward(x)
+        assert np.abs(a.grad - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv1d_gradients_match_loop_oracle(self, stride):
+        rng = np.random.default_rng(5 + stride)
+        B, T, Fin, K, Fout = 3, 11, 4, 3, 2
+        x = ad.Parameter(rng.normal(size=(B, T, Fin)))
+        w = ad.Parameter(rng.normal(size=(K, Fin, Fout)))
+        out = ad.conv1d(x, w, stride=stride)
+        tout = (T - K) // stride + 1
+        g = rng.normal(size=(B, tout, Fout))
+        out.backward(g)
+        dx = np.zeros((B, T, Fin))
+        dw = np.zeros((K, Fin, Fout))
+        for b in range(B):
+            for t in range(tout):
+                for k in range(K):
+                    for f in range(Fin):
+                        for o in range(Fout):
+                            dx[b, t * stride + k, f] += g[b, t, o] * w.data[k, f, o]
+                            dw[k, f, o] += g[b, t, o] * x.data[b, t * stride + k, f]
+        assert np.abs(x.grad - dx).max() < 1e-12
+        assert np.abs(w.grad - dw).max() < 1e-12
+
+
 class TestBackward:
     def test_leaf_accumulation_reused_operand(self):
         # y = x*x + x uses x three times; dy/dx = 2x + 1

@@ -142,6 +142,23 @@ class TestNeighbors:
             g.neighbors(5)
 
 
+class TestStructureOracle:
+    def test_neighbors_and_degrees_match_loop(self):
+        rng = np.random.default_rng(7)
+        n = 40
+        pairs = rng.integers(0, 30, size=(120, 2))     # nodes 30..39 stay isolated
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        g = gr.from_edge_list(pairs, n)
+        nbrs = [set() for _ in range(n)]
+        for i, j in pairs:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+        for v in range(n):
+            assert g.neighbors(v).tolist() == sorted(nbrs[v])
+        assert g.degrees().tolist() == [len(s) for s in nbrs]
+        assert all(len(nbrs[v]) == 0 for v in range(30, n))
+
+
 class TestPermute:
     def test_identity(self):
         g = gr.from_edge_list([(0, 2), (1, 2)], 3)

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -459,3 +460,28 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "m", a.params)
         with pytest.raises(ValueError):
             load_checkpoint(tmp_path / "m", a.params[:1])
+
+    def test_truncated_blob_rejected(self, tmp_path):
+        model = md.SageModel(3, 2, small_spec("graphsage", widths={"hidden": 5}))
+        save_checkpoint(tmp_path / "m", model.params)
+        blob = (tmp_path / "m.bin").read_bytes()
+        (tmp_path / "m.bin").write_bytes(blob[:-8])
+        with pytest.raises(ValueError, match="bytes"):
+            load_checkpoint(tmp_path / "m", model.params)
+
+    def test_extra_bytes_rejected(self, tmp_path):
+        model = md.SageModel(3, 2, small_spec("graphsage", widths={"hidden": 5}))
+        save_checkpoint(tmp_path / "m", model.params)
+        with open(tmp_path / "m.bin", "ab") as fh:
+            fh.write(b"\0" * 8)
+        with pytest.raises(ValueError, match="bytes"):
+            load_checkpoint(tmp_path / "m", model.params)
+
+    def test_unknown_format_version_rejected(self, tmp_path):
+        model = md.SageModel(3, 2, small_spec("graphsage", widths={"hidden": 5}))
+        save_checkpoint(tmp_path / "m", model.params)
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        manifest["format_version"] = 2
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="format_version"):
+            load_checkpoint(tmp_path / "m", model.params)
