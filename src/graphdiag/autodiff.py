@@ -5,8 +5,11 @@ backward(), a gradient of the same shape.  Ops are free functions that record
 a closure computing the parent gradients from the output gradient.  The op
 set is exactly what the model layers need: dense linear algebra, propagation
 through a constant sparse graph operator, pointwise nonlinearities, edge-list
-gather / scatter / segment ops, 1-d convolution and pooling, and the three
-losses.  Inside `with no_grad():` ops record nothing, for forward-only passes.
+gather / scatter / segment ops, 1-d convolution and pooling, and the losses:
+cross-entropy, binary cross-entropy over a matrix of probabilities
+(bce_matrix) or of logits with the sigmoid fused in (bce_logits_matrix), and
+mean squared error.  Inside `with no_grad():` ops record nothing, for
+forward-only passes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ __all__ = [
     "concat", "relu", "leaky_relu", "sigmoid", "exp", "log",
     "conv1d", "maxpool1d", "sum_", "mean_",
     "take_rows", "put_rows", "segment_sum", "repeat_segments", "segment_max",
-    "cross_entropy", "bce_matrix", "mse_matrix", "grad_check",
+    "cross_entropy", "bce_matrix", "bce_logits_matrix", "mse_matrix", "grad_check",
 ]
 
 
@@ -555,6 +558,48 @@ def bce_matrix(recon, target, eps=1e-7):
         return (g * dr,)
 
     return _node(loss, (recon,), backward)
+
+
+def bce_logits_matrix(logits, ones, eps=1e-7):
+    """bce_matrix(sigmoid(logits), target) as one op, the 0/1 target given by its ones.
+
+    `ones` holds the flat indices i * M + j of the (N, M) entries whose target
+    is 1; every other entry's target is 0, so the target is binary by
+    construction, and repeated indices mark an entry once.  The loss uses one
+    exp and one log per entry, and the gradient is (s - t) / (N * M) where
+    eps < s < 1 - eps and 0 at the clamp, as in the composition.
+    """
+    logits = _as_tensor(logits)
+    ones = np.asarray(ones)
+    if logits.ndim != 2:
+        raise ShapeError(f"bce_logits_matrix expects 2-d logits, got {logits.data.shape}")
+    n = logits.data.size
+    if ones.ndim != 1 or (ones.size and not np.issubdtype(ones.dtype, np.integer)):
+        raise ShapeError(f"target indices must be a 1-d integer array, got {ones.dtype} "
+                         f"{ones.shape}")
+    ones = ones.astype(np.intp, copy=False)
+    if ones.size and (ones.min() < 0 or ones.max() >= n):
+        raise ShapeError(f"target index outside [0, {n}) for logits {logits.data.shape}")
+    s = np.negative(logits.data)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    # q = 1 - r where t = 0 and r where t = 1, for r = clip(s, eps, 1 - eps)
+    q = np.clip(s, eps, 1.0 - eps)
+    r_ones = q.ravel()[ones]
+    np.subtract(1.0, q, out=q)
+    q.ravel()[ones] = r_ones
+    loss = -np.log(q, out=q).sum() / n
+
+    def backward(g):
+        ds = s.copy()
+        ds.ravel()[ones] -= 1.0
+        ds[~((s > eps) & (s < 1.0 - eps))] = 0.0
+        ds /= n
+        ds *= g
+        return (ds,)
+
+    return _node(loss, (logits,), backward)
 
 
 def mse_matrix(recon, target):

@@ -181,7 +181,10 @@ def train_graph_level(dataset, masks, spec, sensor_graph_source="train",
     """
     if not dataset.is_timeseries:
         raise ValueError("graph-level training needs (B, T, C) time-series data")
-    src_mask = masks[sensor_graph_source if sensor_graph_source in masks else "train"]
+    if sensor_graph_source not in masks:
+        raise ValueError(f"sensor_graph_source {sensor_graph_source!r} is not a split; "
+                         f"valid: {sorted(masks)}")
+    src_mask = masks[sensor_graph_source]
     sensor_graph = correlation_sensor_graph(dataset.samples[src_mask], corr_threshold)
     n_classes = dataset.n_classes
     model = md.StgcnModel(dataset.samples.shape[2], n_classes, spec, sensor_graph)

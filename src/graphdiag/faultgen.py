@@ -285,14 +285,35 @@ def save_dataset(ds, directory):
 
 
 def load_dataset(directory):
+    """Read a save_dataset directory; ValueError names the file of any mismatch.
+
+    Checked: one label per feature row, the manifest shape against the values,
+    finite values, and labels in [0, number of classes).
+    """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    flat = np.loadtxt(directory / "features.csv", delimiter=",", ndmin=2)
-    labels = np.loadtxt(directory / "labels.csv", dtype=np.intp, ndmin=1)
+    features_path, labels_path = directory / "features.csv", directory / "labels.csv"
+    flat = np.loadtxt(features_path, delimiter=",", ndmin=2)
+    labels = np.loadtxt(labels_path, dtype=np.intp, ndmin=1)
+    if len(flat) != len(labels):
+        raise ValueError(f"{features_path} has {len(flat)} rows but {labels_path} "
+                         f"has {len(labels)} labels")
     shape = manifest.get("shape")
+    if shape and (int(np.prod(shape)) != flat.size or shape[0] != len(flat)):
+        raise ValueError(f"{directory / 'manifest.json'} shape {shape} does not fit the "
+                         f"{len(flat)} x {flat.shape[1]} values of {features_path}")
+    finite = np.isfinite(flat)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"{features_path}: non-finite value {flat[row, col]} "
+                         f"in row {row + 1}, column {col + 1}")
     samples = flat.reshape(shape) if shape and len(shape) == 3 else flat
     names = [c["name"] for c in manifest.get("classes", [])]
     if not names:
         names = [f"class_{i}" for i in range(int(labels.max()) + 1)]
+    outside = np.flatnonzero((labels < 0) | (labels >= len(names)))
+    if len(outside):
+        raise ValueError(f"{labels_path}: label {labels[outside[0]]} on line "
+                         f"{outside[0] + 1} is outside [0, {len(names)})")
     return Dataset(samples=samples, labels=labels, class_names=names,
                    manifest=manifest)

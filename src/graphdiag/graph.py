@@ -208,20 +208,37 @@ def write_edge_list(path, g):
 
 
 def read_edge_list(path, n=None):
-    """Read the one-edge-per-line text format; '#' lines are comments."""
-    pairs = []
-    max_node = -1
+    """Read the one-edge-per-line text format; '#' lines are comments.
+
+    The node count is `n` when given, else the `# nodes N` header that
+    write_edge_list puts on the first line, else one more than the largest
+    endpoint.  An endpoint outside [0, N) raises GraphError naming its line.
+    """
+    pairs, lines = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if lineno == 1 and line.startswith("# nodes"):
+                header = line[len("# nodes"):].strip()
+                if not header.isdigit():
+                    raise GraphError(f"{path}: malformed header on line 1: {line!r}")
+                if n is None:
+                    n = int(header)
+                continue
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphError(f"malformed edge line: {line!r}")
-            i, j = int(parts[0]), int(parts[1])
-            max_node = max(max_node, i, j)
+            try:
+                i, j = map(int, line.split())
+            except ValueError:
+                raise GraphError(f"{path}: malformed edge on line {lineno}: {line!r}") from None
             pairs.append((i, j))
+            lines.append(lineno)
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     if n is None:
-        n = max_node + 1
-    return from_edge_list(pairs, n)
+        n = int(pairs.max()) + 1 if len(pairs) else 0
+    bad = np.flatnonzero((pairs < 0).any(axis=1) | (pairs >= n).any(axis=1))
+    if len(bad):
+        i, j = pairs[bad[0]]
+        raise GraphError(f"{path}: edge ({i}, {j}) on line {lines[bad[0]]} "
+                         f"is outside [0, {n})")
+    return Graph(n, pairs)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import Graph, GraphError
+from .graph import DENSE_CAP, Graph, GraphError
 from .models import GaeModel, default_spec
 from .optim import make_optimizer
 
@@ -145,15 +145,23 @@ def train_gae_on_graph(features, g, spec=None, rng_seed=None):
         spec = default_spec("gae")
     if rng_seed is not None:
         spec.seed = rng_seed
+    if g.n > DENSE_CAP:
+        raise GraphError(f"GAE's dense N x N decoder refused for n={g.n} > {DENSE_CAP}")
     x = Tensor(standardize(features))
-    target = g.adjacency()
     model = GaeModel(x.shape[1], spec)
     opt = make_optimizer(spec.optimizer, model.params, spec.lr)
-    loss_fn = ad.bce_matrix if spec.gae_loss == "bce" else ad.mse_matrix
+    if spec.gae_loss == "bce":
+        # the adjacency's ones as flat indices, both orientations of each edge
+        i, j = g.edges[:, 0], g.edges[:, 1]
+        ones = np.concatenate([i * g.n + j, j * g.n + i])
+    else:
+        target = g.adjacency()
     trace = []
     for _ in range(spec.epochs):
-        recon = model.forward(x, g)
-        loss = loss_fn(recon, target)
+        if spec.gae_loss == "bce":
+            loss = ad.bce_logits_matrix(model.logits(x, g), ones)
+        else:
+            loss = ad.mse_matrix(model.forward(x, g), target)
         if not np.isfinite(loss.data):
             raise RuntimeError(f"GAE training diverged at epoch {len(trace)}")
         trace.append(loss.item())

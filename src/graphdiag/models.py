@@ -304,7 +304,12 @@ class SageModel:
 
 
 class GaeModel:
-    """GCN encoder + inner-product decoder: A_hat = sigmoid(Z Z^T)."""
+    """GCN encoder + inner-product decoder: A_hat = sigmoid(Z Z^T).
+
+    `logits` returns the decoder's pre-sigmoid scores Z Z^T, which training
+    feeds to the fused `ad.bce_logits_matrix`; `forward` returns the
+    probabilities A_hat.
+    """
 
     def __init__(self, c_in, spec):
         rng = np.random.default_rng(spec.seed)
@@ -317,9 +322,12 @@ class GaeModel:
     def encode(self, x, g):
         return self.enc2(self.enc1(x, g), g)
 
-    def forward(self, x, g):
+    def logits(self, x, g):
         z = self.encode(x, g)
-        return ad.sigmoid(ad.matmul(z, ad.transpose(z, (1, 0))))
+        return ad.matmul(z, ad.transpose(z, (1, 0)))
+
+    def forward(self, x, g):
+        return ad.sigmoid(self.logits(x, g))
 
 
 # ---------------------------------------------------------------------------

@@ -389,3 +389,58 @@ class TestGradCheck:
             return fn, [z, r]
 
         self.check(build, 2)
+
+
+class TestBceLogits:
+    """The fused op against the composition bce_matrix(sigmoid(L), t)."""
+
+    @staticmethod
+    def case(seed, shape=(7, 9)):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(scale=4.0, size=shape)
+        # saturated entries: sigmoid(+-20) lies beyond the eps clamp
+        logits.ravel()[rng.choice(logits.size, size=12, replace=False)] = (
+            rng.choice([-1.0, 1.0], size=12) * rng.uniform(19.0, 21.0, size=12))
+        ones = rng.choice(logits.size, size=25)          # repeats mark an entry once
+        target = np.zeros(shape)
+        target.ravel()[ones] = 1.0
+        return logits, ones, target
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_composition(self, seed):
+        logits, ones, target = self.case(seed)
+        fused = ad.Parameter(logits.copy())
+        loss = ad.bce_logits_matrix(fused, ones)
+        loss.backward()
+        plain = ad.Parameter(logits.copy())
+        ref = ad.bce_matrix(ad.sigmoid(plain), target)
+        ref.backward()
+        assert abs(loss.item() - ref.item()) <= 1e-12 * abs(ref.item())
+        np.testing.assert_allclose(fused.grad, plain.grad, rtol=1e-12, atol=1e-18)
+        clamped = np.abs(logits) > 17.0
+        assert clamped.any() and not fused.grad[clamped].any()
+
+    def test_grad_check(self):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            logits = ad.Parameter(rng.uniform(-3, 3, size=(4, 5)))
+            ones = rng.choice(20, size=6, replace=False)
+            assert ad.grad_check(lambda: ad.bce_logits_matrix(logits, ones), [logits]) < FD_TOL
+
+    def test_shape_errors(self):
+        logits = ad.Tensor(np.zeros((3, 4)))
+        with pytest.raises(ad.ShapeError):
+            ad.bce_logits_matrix(ad.Tensor(np.zeros(12)), [0, 1])
+        with pytest.raises(ad.ShapeError):         # a dense target is not an index list
+            ad.bce_logits_matrix(logits, np.zeros((3, 4)))
+        with pytest.raises(ad.ShapeError):
+            ad.bce_logits_matrix(logits, np.array([0.0, 1.5]))
+        for bad in ([12], [-1], [0, 3, 12]):
+            with pytest.raises(ad.ShapeError):
+                ad.bce_logits_matrix(logits, bad)
+
+    def test_no_ones_is_all_zero_target(self):
+        logits = np.random.default_rng(3).normal(size=(3, 3))
+        got = ad.bce_logits_matrix(ad.Tensor(logits), []).item()
+        want = ad.bce_matrix(ad.sigmoid(ad.Tensor(logits)), np.zeros((3, 3))).item()
+        assert got == pytest.approx(want, rel=1e-15)

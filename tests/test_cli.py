@@ -95,6 +95,17 @@ class TestBuildGraph:
                     "--out", tmp_path / "g"])
         assert code == cli.EXIT_CONFIG
 
+    def test_invalid_dataset_is_config_error(self, dataset_dir, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for name in ("manifest.json", "features.csv"):
+            (bad / name).write_bytes((dataset_dir / name).read_bytes())
+        (bad / "labels.csv").write_text("0\n" * 39)
+        code = run(["build-graph", "--dataset", bad, "--graph", "knn", "--k", "3",
+                    "--out", tmp_path / "g"])
+        assert code == cli.EXIT_CONFIG == 2
+        assert "has 40 rows but" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, dataset_dir, tmp_path):
         out = tmp_path / "g"
         args = ["build-graph", "--dataset", dataset_dir, "--graph", "knn",

@@ -188,6 +188,13 @@ class TestTrainGraphLevel:
         with pytest.raises(ValueError):
             dg.train_graph_level(ds, masks, md.default_spec("stgcn", epochs=1))
 
+    def test_unknown_sensor_graph_source(self):
+        ds = self.make_dataset()
+        masks = dg.split(ds.labels, dg.SplitSpec(10, 4, seed=0))
+        with pytest.raises(ValueError, match="'test', 'train', 'val'"):
+            dg.train_graph_level(ds, masks, md.default_spec("stgcn", epochs=1),
+                                 sensor_graph_source="validation")
+
     def test_deterministic(self):
         ds = self.make_dataset()
         masks = dg.split(ds.labels, dg.SplitSpec(10, 4, seed=0))

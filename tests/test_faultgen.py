@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,41 @@ class TestDatasetIO:
         back = fg.load_dataset(tmp_path / "d")
         assert np.array_equal(back.samples, ds.samples)
         assert not back.is_timeseries
+
+
+class TestLoadDatasetValidation:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        ds = fg.generate_dataset(fg.ProcessSpec(channels=2, horizon=16),
+                                 [("normal", None, 3), ("step", fg.FaultSpec("step", 1.0), 3)], 6)
+        fg.save_dataset(ds, tmp_path / "d")
+        return tmp_path / "d"
+
+    @staticmethod
+    def edit(path, fn):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(fn(lines)) + "\n")
+
+    def test_row_count_differs_from_labels(self, saved):
+        self.edit(saved / "labels.csv", lambda lines: lines[:-1])
+        with pytest.raises(ValueError, match=r"features\.csv has 6 rows but .*labels\.csv has 5"):
+            fg.load_dataset(saved)
+
+    def test_manifest_shape_does_not_fit(self, saved):
+        manifest = json.loads((saved / "manifest.json").read_text())
+        manifest["shape"] = [6, 16, 3]
+        (saved / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"manifest\.json shape \[6, 16, 3\]"):
+            fg.load_dataset(saved)
+
+    def test_non_finite_value(self, saved):
+        self.edit(saved / "features.csv",
+                  lambda lines: lines[:2] + ["nan" + lines[2][lines[2].index(","):]] + lines[3:])
+        with pytest.raises(ValueError, match=r"features\.csv: non-finite value nan in row 3, "
+                                             r"column 1"):
+            fg.load_dataset(saved)
+
+    def test_label_out_of_range(self, saved):
+        self.edit(saved / "labels.csv", lambda lines: lines[:3] + ["2"] + lines[4:])
+        with pytest.raises(ValueError, match=r"labels\.csv: label 2 on line 4 is outside \[0, 2\)"):
+            fg.load_dataset(saved)

@@ -211,3 +211,35 @@ class TestEdgeListFile:
         path.write_text("0 1 2\n")
         with pytest.raises(gr.GraphError):
             gr.read_edge_list(path)
+
+    def test_round_trip_keeps_trailing_isolated_nodes(self, tmp_path):
+        g = gr.from_edge_list([(0, 1), (1, 2)], 5)
+        path = tmp_path / "g.edges"
+        gr.write_edge_list(path, g)
+        back = gr.read_edge_list(path)
+        assert back.n == 5
+        assert back == g
+        assert gr.read_edge_list(path, n=7).n == 7
+
+    @pytest.mark.parametrize("text, line", [
+        ("# nodes 3\n0 1\n1 3\n", 3),
+        ("# nodes 3\n0 1\n\n# c\n-1 2\n", 5),
+    ])
+    def test_endpoint_outside_header_range(self, tmp_path, text, line):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        with pytest.raises(gr.GraphError, match=f"line {line}"):
+            gr.read_edge_list(path)
+
+    def test_explicit_n_wins_over_header(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("# nodes 10\n0 1\n4 5\n")
+        with pytest.raises(gr.GraphError, match="line 3"):
+            gr.read_edge_list(path, n=5)
+
+    @pytest.mark.parametrize("text", ["# nodes x\n0 1\n", "0 a\n", "7\n"])
+    def test_malformed_header_or_token(self, tmp_path, text):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        with pytest.raises(gr.GraphError, match="line 1"):
+            gr.read_edge_list(path)

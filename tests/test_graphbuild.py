@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from graphdiag import autodiff as ad
 from graphdiag import graph as gr
 from graphdiag import graphbuild as gb
 from graphdiag import models as md
+from graphdiag.autodiff import Tensor
+from graphdiag.optim import make_optimizer
 
 
 class TestExtractFeatures:
@@ -274,3 +277,29 @@ class TestGaeRefine:
         spec = md.default_spec("gae", epochs=60)
         _, _, trace = gb.train_gae_on_graph(f, base, spec)
         assert trace[-1] < trace[0]
+
+    def test_fused_loss_trace_matches_composition(self):
+        rng = np.random.default_rng(15)
+        f = rng.normal(size=(30, 5))
+        pairs = rng.integers(0, 30, size=(60, 2))
+        base = gr.Graph(30, pairs[pairs[:, 0] != pairs[:, 1]])
+        spec = md.default_spec("gae", epochs=5, seed=3)
+        recon, _, trace = gb.train_gae_on_graph(f, base, spec)
+
+        model = md.GaeModel(f.shape[1], spec)
+        opt = make_optimizer(spec.optimizer, model.params, spec.lr)
+        x, target = Tensor(gb.standardize(f)), base.adjacency()
+        want = []
+        for _ in range(5):
+            loss = ad.bce_matrix(model.forward(x, base), target)
+            want.append(loss.item())
+            loss.backward()
+            opt.step()
+        np.testing.assert_allclose(trace, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(recon, model.forward(x, base).data, rtol=1e-12, atol=0)
+
+    def test_refuses_graph_above_dense_cap(self):
+        n = gr.DENSE_CAP + 1
+        with pytest.raises(gr.GraphError):
+            gb.train_gae_on_graph(np.zeros((n, 2)), gr.Graph(n, []),
+                                  md.default_spec("gae", epochs=1))

@@ -338,6 +338,13 @@ class TestGae:
             assert recon.min() > 0.0
             assert recon.max() < 1.0
 
+    def test_forward_is_sigmoid_of_logits(self):
+        rng = np.random.default_rng(22)
+        g, x = random_case(rng, n_max=10, f_in=4)
+        model = md.GaeModel(4, small_spec("gae", widths={"hidden": 6, "latent": 3}))
+        logits = model.logits(Tensor(x), g).data
+        assert np.array_equal(model.forward(Tensor(x), g).data, 1.0 / (1.0 + np.exp(-logits)))
+
     def test_encoder_shape(self):
         g = gr.from_edge_list([(0, 1), (1, 2)], 3)
         model = md.GaeModel(4, small_spec("gae", widths={"hidden": 6, "latent": 3}))
