@@ -3,13 +3,17 @@
 Every differentiable quantity is a Tensor holding a value array and, after
 backward(), a gradient of the same shape.  Ops are free functions that record
 a closure computing the parent gradients from the output gradient.  The op
-set is exactly what the model layers need: dense linear algebra, propagation
+set is what the model layers need: dense linear algebra, propagation
 through a constant sparse graph operator, pointwise nonlinearities, edge-list
-gather / scatter / segment ops, 1-d convolution and pooling, and the losses:
+gather / scatter / segment ops, GAT attention as one fused op (gat_aggregate:
+scores, segment softmax and weighted neighbour sum, with a hand-written
+backward), 1-d convolution and pooling, and the losses:
 cross-entropy, binary cross-entropy over a matrix of probabilities
 (bce_matrix) or of logits with the sigmoid fused in (bce_logits_matrix), and
-mean squared error.  Inside `with no_grad():` ops record nothing, for
-forward-only passes.
+mean squared error.  No layer calls leaky_relu, exp, segment_sum or
+repeat_segments since GAT became one op; they stay exported because the
+benchmark's per-layer metrics time them by name.  Inside `with no_grad():`
+ops record nothing, for forward-only passes.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "matmul", "propagate", "transpose", "reshape",
     "concat", "relu", "leaky_relu", "sigmoid", "exp", "log",
     "conv1d", "maxpool1d", "sum_", "mean_",
-    "take_rows", "put_rows", "segment_sum", "repeat_segments", "segment_max",
+    "take_rows", "put_rows", "segment_sum", "repeat_segments", "segment_max", "gat_aggregate",
     "cross_entropy", "bce_matrix", "bce_logits_matrix", "mse_matrix", "grad_check",
 ]
 
@@ -510,6 +514,88 @@ def segment_max(a, seg):
         return (da.reshape(shape),)
 
     return _node(out, (a,), backward)
+
+
+# ---------------------------------------------------------------------------
+# graph attention (one fused node)
+
+def gat_attention(xp, a_self, a_nbr, ei, slope):
+    """GAT attention over an edge index, on plain arrays; records nothing.
+
+    xp is (N, H, C) and a_self, a_nbr are (H, C).  `ei.seg` splits the
+    edges into one non-empty segment per destination node, in node order,
+    and `ei.src` is each edge's source.  With s = (xp * a).sum(-1), edge
+    (i, j) scores LeakyReLU(s_self[i] + s_nbr[j]) with slope in [0, 1], and
+    alpha (E, H) is the softmax of the scores within each segment, shifted
+    by the segment max.  Returns alpha and the LeakyReLU's derivative per
+    edge (1 or slope).  It is not an op, so it is not in __all__.
+    """
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"LeakyReLU slope must lie in [0, 1], got {slope}")
+    seg = ei.seg
+    s_self = (xp * a_self).sum(axis=2)
+    s_nbr = (xp * a_nbr).sum(axis=2)
+    raw = np.repeat(s_self, seg.lengths, axis=0) + np.take(s_nbr, ei.src, axis=0)
+    # max(True, slope) = 1 and max(False, slope) = slope, without np.where's branches
+    scale = np.maximum(raw > 0, slope)
+    e = raw * scale
+    e -= np.repeat(np.maximum.reduceat(e, seg.starts, axis=0), seg.lengths, axis=0)
+    np.exp(e, out=e)
+    e /= np.repeat(seg.matrix @ e, seg.lengths, axis=0)
+    return e, scale
+
+
+def gat_aggregate(xp, a_self, a_nbr, ei, slope):
+    """GAT neighbour sum out[i] = sum_j alpha_ij xp[j] as one op: (N, H, C) -> (N, H, C).
+
+    alpha is gat_attention's.  The sum is one CSR matmul per head over the
+    edge pattern with alpha[:, h] as data, so no (E, H, C) message tensor is
+    built.  The hand-written backward sends g back through the transposed
+    CSR, takes dalpha as the sampled product (g[dst] * xp[src]).sum(-1),
+    applies the softmax and LeakyReLU backward, and routes the score
+    gradients to xp, a_self and a_nbr through segment and scatter sums.
+    """
+    from scipy import sparse
+
+    xp, a_self, a_nbr = _as_tensor(xp), _as_tensor(a_self), _as_tensor(a_nbr)
+    seg, src = ei.seg, ei.src
+    if (xp.ndim != 3 or a_self.data.shape != xp.data.shape[1:]
+            or a_nbr.data.shape != a_self.data.shape):
+        raise ShapeError(f"gat_aggregate expects (N, H, C) features and (H, C) attention "
+                         f"vectors, got {xp.data.shape}, {a_self.data.shape}, {a_nbr.data.shape}")
+    n, heads, channels = xp.data.shape
+    if len(seg.starts) != n or seg.total != len(src):
+        raise ShapeError(f"edge index over {len(seg.starts)} nodes and {len(src)} edges "
+                         f"does not fit features of {n} nodes")
+    alpha, scale = gat_attention(xp.data, a_self.data, a_nbr.data, ei, slope)
+    # one CSR over the edge pattern; each head swaps in its alpha column as data
+    weights = sparse.csr_matrix((alpha[:, 0], src, np.append(seg.starts, seg.total)),
+                                shape=(n, n))
+    out = np.empty_like(xp.data)
+    for h in range(heads):
+        weights.data = alpha[:, h]
+        out[:, h] = weights @ xp.data[:, h]
+
+    def backward(g):
+        x = xp.data
+        dxp = np.empty_like(x)
+        transposed = weights.T
+        for h in range(heads):
+            transposed.data = alpha[:, h]
+            dxp[:, h] = transposed @ g[:, h]
+        # dalpha one channel at a time: (E, H) temporaries in place of (E, H, C)
+        dalpha = np.zeros_like(alpha)
+        for c in range(channels):
+            dalpha += np.repeat(g[:, :, c], seg.lengths, axis=0) * np.take(x[:, :, c], src, axis=0)
+        ds = alpha * (dalpha - np.repeat(seg.matrix @ (alpha * dalpha), seg.lengths, axis=0))
+        ds *= scale
+        ds_self = seg.matrix @ ds
+        ds_nbr = ei.src_plan.matrix @ ds
+        dxp += ds_self[:, :, None] * a_self.data + ds_nbr[:, :, None] * a_nbr.data
+        return (dxp, np.einsum("nh,nhc->hc", ds_self, x),
+                np.einsum("nh,nhc->hc", ds_nbr, x))
+
+    return _node(out, (xp, a_self, a_nbr), backward)
 
 
 # ---------------------------------------------------------------------------

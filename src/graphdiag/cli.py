@@ -314,12 +314,14 @@ def main(argv=None):
         if args.command == "generate" and not getattr(args, "preset", None):
             raise ConfigError("generate requires --preset")
         return args.func(args)
+    # ShapeError is a ValueError, but one raised inside an op is a fault of
+    # the run, not of the configuration, so it is caught first
+    except (ad.ShapeError, dg.DivergenceError, RuntimeError) as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (dg.DivergenceError, RuntimeError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

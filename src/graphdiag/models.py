@@ -4,9 +4,10 @@ Layers operate on the autodiff Tensor type and keep their Parameters in a
 `params` list so the optimizers and checkpoints can reach them.  Graph layers
 take `(x, g)` and read their operators from the per-Graph cache: GCN, the
 GraphSage mean and gcn aggregators, the GAE encoder and the STGCN sensor
-mixing propagate through a sparse normalized adjacency; GAT attention and
-the GraphSage pool aggregator run on edge lists.  No layer forms a dense
-N x N matrix; only the GAE decoder's reconstruction is dense by nature.
+mixing propagate through a sparse normalized adjacency; GAT attention is one
+fused op, `ad.gat_aggregate`, over the cached A + I CSR pattern; the
+GraphSage pool aggregator runs on edge lists.  No layer forms a dense N x N
+matrix; only the GAE decoder's reconstruction is dense by nature.
 """
 
 from __future__ import annotations
@@ -92,18 +93,18 @@ class GcnLayer:
 
 
 class GatEdgeIndex:
-    """Directed (dst, src) edges of A + I, sorted by dst then src.
+    """Directed edges of A + I as CSR rows: one segment per destination node.
 
-    Built once per graph through `g.derived(GatEdgeIndex)`.
+    `seg` holds each node's run of edges and `src` their sources, sorted, as
+    in the cached A + I pattern; every node has its self loop, so no segment
+    is empty.  Built once per graph through `g.derived(GatEdgeIndex)`.
     """
 
     def __init__(self, g):
         pattern = gr.sym_propagation(g)
-        self.dst = np.repeat(np.arange(g.n), np.diff(pattern.indptr))
-        self.src = pattern.indices.astype(np.intp)
-        self.seg = ad.SegmentIndex.from_sorted_ids(self.dst)
+        self.src = pattern.indices
+        self.seg = ad.SegmentIndex(pattern.indptr[:-1], pattern.nnz)
         self.src_plan = ad.GatherPlan(self.src, g.n)
-        self.dst_plan = ad.GatherPlan(self.dst, g.n)
 
 
 class GatLayer:
@@ -125,27 +126,11 @@ class GatLayer:
         self.a_nbr = Parameter(glorot(rng, (heads, c_out)), name=f"{name}.a_nbr")
         self.params = [self.w, self.a_self, self.a_nbr]
 
-    def _attend(self, x, ei, n):
-        """Projected features (N, H, c_out) and per-edge attention (E, H)."""
-        xp = ad.reshape(ad.matmul(x, self.w), (n, self.heads, self.c_out))
-        s_self = ad.sum_(ad.mul(xp, self.a_self), axis=2)   # (N, H)
-        s_nbr = ad.sum_(ad.mul(xp, self.a_nbr), axis=2)     # (N, H)
-        scores = ad.leaky_relu(
-            ad.add(ad.take_rows(s_self, ei.dst, ei.dst_plan),
-                   ad.take_rows(s_nbr, ei.src, ei.src_plan)),
-            self.LEAKY_SLOPE)                          # (E, H)
-        shift = np.maximum.reduceat(scores.data, ei.seg.starts, axis=0)
-        e = ad.exp(ad.sub(scores, Tensor(np.repeat(shift, ei.seg.lengths, axis=0))))
-        denom = ad.repeat_segments(ad.segment_sum(e, ei.seg), ei.seg)
-        return xp, ad.div(e, denom)
-
     def __call__(self, x, g):
         n = g.n
-        ei = g.derived(GatEdgeIndex)
-        xp, alpha = self._attend(x, ei, n)
-        msg = ad.mul(ad.reshape(alpha, alpha.shape + (1,)),
-                     ad.take_rows(xp, ei.src, ei.src_plan))
-        out = ad.segment_sum(msg, ei.seg)              # (N, H, c_out)
+        xp = ad.reshape(ad.matmul(x, self.w), (n, self.heads, self.c_out))
+        out = ad.gat_aggregate(xp, self.a_self, self.a_nbr, g.derived(GatEdgeIndex),
+                               self.LEAKY_SLOPE)       # (N, H, c_out)
         if self.merge == "concat":
             merged = ad.reshape(out, (n, self.heads * self.c_out))
         else:
@@ -155,12 +140,14 @@ class GatLayer:
     def attention_weights(self, x, g):
         """Per-head dense attention matrices (no grad), for export/tests."""
         ei = g.derived(GatEdgeIndex)
-        with ad.no_grad():
-            alpha = self._attend(x, ei, g.n)[1].data
+        xp = (x.data @ self.w.data).reshape(g.n, self.heads, self.c_out)
+        alpha = ad.gat_attention(xp, self.a_self.data, self.a_nbr.data, ei,
+                                 self.LEAKY_SLOPE)[0]
+        dst = np.repeat(np.arange(g.n), ei.seg.lengths)
         mats = []
         for h in range(self.heads):
             mat = np.zeros((g.n, g.n))
-            mat[ei.dst, ei.src] = alpha[:, h]
+            mat[dst, ei.src] = alpha[:, h]
             mats.append(mat)
         return mats
 

@@ -1,8 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from graphdiag import autodiff as ad
+from graphdiag import graph as gr
+from graphdiag import models as md
 
 
 def param(rng, *shape):
@@ -444,3 +449,112 @@ class TestBceLogits:
         got = ad.bce_logits_matrix(ad.Tensor(logits), []).item()
         want = ad.bce_matrix(ad.sigmoid(ad.Tensor(logits)), np.zeros((3, 3))).item()
         assert got == pytest.approx(want, rel=1e-15)
+
+
+def gat_reference(xp, a_self, a_nbr, g, slope):
+    """GAT neighbour sum over each node's A + I neighbourhood, node by node."""
+    s_self = (xp * a_self).sum(axis=2)
+    s_nbr = (xp * a_nbr).sum(axis=2)
+    out = np.zeros_like(xp)
+    for i in range(g.n):
+        nbhd = sorted(set(g.neighbors(i).tolist()) | {i})
+        raw = s_self[i] + s_nbr[nbhd]                     # (deg, H)
+        scores = np.where(raw > 0, raw, slope * raw)
+        e = np.exp(scores - scores.max(axis=0))
+        out[i] = np.einsum("jh,jhc->hc", e / e.sum(axis=0), xp[nbhd])
+    return out
+
+
+@st.composite
+def small_graphs(draw, max_nodes=12):
+    n = draw(st.integers(1, max_nodes))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return gr.from_edge_list([p for p, k in zip(pairs, keep) if k], n)
+
+
+class TestGatAggregate:
+    """The fused GAT op against a node-by-node numpy composition and central differences."""
+
+    SLOPE = md.GatLayer.LEAKY_SLOPE
+
+    @staticmethod
+    def case(seed, heads, negative=False, n=7, isolated=2, channels=2):
+        """Random graph whose last `isolated` nodes have only their self loop."""
+        rng = np.random.default_rng(seed)
+        pairs = [(i, j) for i in range(n - isolated) for j in range(i + 1, n - isolated)
+                 if rng.random() < 0.5]
+        g = gr.from_edge_list(pairs, n)
+        xp = rng.normal(size=(n, heads, channels))
+        a_self = rng.normal(size=(heads, channels))
+        a_nbr = rng.normal(size=(heads, channels))
+        if negative:        # xp > 0 and a < 0: every raw score is negative
+            xp, a_self, a_nbr = np.abs(xp), -np.abs(a_self), -np.abs(a_nbr)
+        return g, xp, a_self, a_nbr
+
+    @pytest.mark.parametrize("heads", [1, 2, 3])
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_forward_matches_composition(self, heads, negative):
+        for seed in range(4):
+            g, xp, a_self, a_nbr = self.case(seed, heads, negative)
+            ei = md.GatEdgeIndex(g)
+            out = ad.gat_aggregate(ad.Tensor(xp), a_self, a_nbr, ei, self.SLOPE).data
+            want = gat_reference(xp, a_self, a_nbr, g, self.SLOPE)
+            assert np.abs(out - want).max() < 1e-12
+            # an isolated node attends only to itself
+            assert np.abs(out[-1] - xp[-1]).max() < 1e-12
+
+    def test_scores_beyond_exp_range_stay_finite(self):
+        g, xp, a_self, a_nbr = self.case(5, 2)
+        a_self, a_nbr = 400.0 * a_self, 400.0 * a_nbr     # |scores| ~ 1e3: exp overflows unshifted
+        out = ad.gat_aggregate(ad.Tensor(xp), a_self, a_nbr, md.GatEdgeIndex(g), self.SLOPE).data
+        assert np.isfinite(out).all()
+        assert np.abs(out - gat_reference(xp, a_self, a_nbr, g, self.SLOPE)).max() < 1e-9
+
+    @pytest.mark.parametrize("heads", [1, 2, 3])
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_grad_check(self, heads, negative):
+        for seed in range(3):
+            g, xp, a_self, a_nbr = self.case(10 + seed, heads, negative)
+            ei = md.GatEdgeIndex(g)
+            params = [ad.Parameter(xp), ad.Parameter(a_self), ad.Parameter(a_nbr)]
+            w = np.random.default_rng(seed).normal(size=xp.shape)
+
+            def fn():
+                return ad.sum_(ad.gat_aggregate(*params, ei, self.SLOPE) * w)
+
+            assert ad.grad_check(fn, params) < FD_TOL
+
+    def test_shape_errors(self):
+        g, xp, a_self, a_nbr = self.case(0, 2)
+        ei = md.GatEdgeIndex(g)
+        with pytest.raises(ad.ShapeError):
+            ad.gat_aggregate(xp[:, 0], a_self, a_nbr, ei, self.SLOPE)
+        with pytest.raises(ad.ShapeError):
+            ad.gat_aggregate(xp, a_self[:1], a_nbr, ei, self.SLOPE)
+        with pytest.raises(ad.ShapeError):          # features of another graph
+            ad.gat_aggregate(xp[:-1], a_self, a_nbr, ei, self.SLOPE)
+        with pytest.raises(ValueError):
+            ad.gat_aggregate(xp, a_self, a_nbr, ei, 1.5)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(g=small_graphs(), heads=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+    def test_attention_rows_are_distributions_on_a_plus_i(self, g, heads, seed):
+        rng = np.random.default_rng(seed)
+        layer = md.GatLayer(3, 2, heads, rng)
+        x = ad.Tensor(rng.normal(size=(g.n, 3)))
+        support = g.adjacency().astype(bool) | np.eye(g.n, dtype=bool)
+        for alpha in layer.attention_weights(x, g):
+            assert np.abs(alpha.sum(axis=1) - 1.0).max() < 1e-12
+            assert np.all(alpha[support] > 0.0) and np.all(alpha[~support] == 0.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(g=small_graphs(), heads=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+    def test_layer_is_permutation_equivariant(self, g, heads, seed):
+        rng = np.random.default_rng(seed)
+        layer = md.GatLayer(3, 2, heads, rng, merge="concat", activation="identity")
+        x = rng.normal(size=(g.n, 3))
+        perm = rng.permutation(g.n)
+        out = layer(ad.Tensor(x), g).data
+        out_permuted = layer(ad.Tensor(x[np.argsort(perm)]), gr.permute(g, perm)).data
+        assert np.abs(out_permuted[perm] - out).max() < 1e-12

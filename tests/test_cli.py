@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from graphdiag import autodiff as ad
 from graphdiag import cli
 from graphdiag import faultgen as fg
+from graphdiag import models as md
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +175,18 @@ class TestTrain:
                     "--train-size", "12", "--val-size", "6", "--seeds", "0",
                     "--epochs", "2", "--out", tmp_path / "t"])
         assert code == cli.EXIT_CONFIG
+
+    def test_shape_error_inside_training_is_runtime_error(self, dataset_dir, tmp_path,
+                                                          monkeypatch, capsys):
+        def broken(model, x):
+            raise ad.ShapeError("operand shapes differ")
+
+        monkeypatch.setattr(md.MlpModel, "forward", broken)
+        code = run(["train", "--dataset", dataset_dir, "--model", "mlp",
+                    "--train-size", "12", "--val-size", "6", "--seeds", "0",
+                    "--epochs", "2", "--out", tmp_path / "t"])
+        assert code == cli.EXIT_RUNTIME == 3
+        assert "runtime error: operand shapes differ" in capsys.readouterr().err
 
 
 class TestCurve:
