@@ -9,11 +9,12 @@ gather / scatter / segment ops, GAT attention as one fused op (gat_aggregate:
 scores, segment softmax and weighted neighbour sum, with a hand-written
 backward), 1-d convolution and pooling, and the losses:
 cross-entropy, binary cross-entropy over a matrix of probabilities
-(bce_matrix) or of logits with the sigmoid fused in (bce_logits_matrix), and
-mean squared error.  No layer calls leaky_relu, exp, segment_sum or
-repeat_segments since GAT became one op; they stay exported because the
-benchmark's per-layer metrics time them by name.  Inside `with no_grad():`
-ops record nothing, for forward-only passes.
+(bce_matrix), the GAE inner-product decoder's binary cross-entropy taken
+from the embedding Z in row blocks, so GAE training forms no N x N array
+(inner_product_bce), and mean squared error.  No layer calls leaky_relu,
+exp, segment_sum or repeat_segments since GAT became one op; they stay
+exported because the benchmark's per-layer metrics time them by name.
+Inside `with no_grad():` ops record nothing, for forward-only passes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ __all__ = [
     "concat", "relu", "leaky_relu", "sigmoid", "exp", "log",
     "conv1d", "maxpool1d", "sum_", "mean_",
     "take_rows", "put_rows", "segment_sum", "repeat_segments", "segment_max", "gat_aggregate",
-    "cross_entropy", "bce_matrix", "bce_logits_matrix", "mse_matrix", "grad_check",
+    "cross_entropy", "bce_matrix", "inner_product_bce", "mse_matrix", "grad_check",
 ]
 
 
@@ -646,46 +647,66 @@ def bce_matrix(recon, target, eps=1e-7):
     return _node(loss, (recon,), backward)
 
 
-def bce_logits_matrix(logits, ones, eps=1e-7):
-    """bce_matrix(sigmoid(logits), target) as one op, the 0/1 target given by its ones.
+# rows per block of inner_product_bce: each block's arrays are IP_BCE_BLOCK x N
+IP_BCE_BLOCK = 64
 
-    `ones` holds the flat indices i * M + j of the (N, M) entries whose target
-    is 1; every other entry's target is 0, so the target is binary by
-    construction, and repeated indices mark an entry once.  The loss uses one
-    exp and one log per entry, and the gradient is (s - t) / (N * M) where
-    eps < s < 1 - eps and 0 at the clamp, as in the composition.
+
+def inner_product_bce(z, pattern, eps=1e-7):
+    """bce_matrix(sigmoid(z @ z.T), A) without forming an N x N array.
+
+    z is (N, d) and A the symmetric 0/1 matrix whose ones are the entries of
+    `pattern`, an (N, N) CSR matrix (its values are ignored).  The loss is the mean over all N * N entries with the same eps
+    clamp as bce_matrix.  Z Z^T and A are symmetric, so the op walks row
+    blocks of the upper triangle: block rows [a, b) against columns [a, N),
+    where the leading square counts once per entry and every column past b
+    stands for its mirror too.  The gradient dZ = 2 G Z / N^2, G = s - t
+    inside the clamp and 0 outside, is summed in the same pass, and only
+    when the graph is recorded.  No array larger than the block times N is
+    built.
     """
-    logits = _as_tensor(logits)
-    ones = np.asarray(ones)
-    if logits.ndim != 2:
-        raise ShapeError(f"bce_logits_matrix expects 2-d logits, got {logits.data.shape}")
-    n = logits.data.size
-    if ones.ndim != 1 or (ones.size and not np.issubdtype(ones.dtype, np.integer)):
-        raise ShapeError(f"target indices must be a 1-d integer array, got {ones.dtype} "
-                         f"{ones.shape}")
-    ones = ones.astype(np.intp, copy=False)
-    if ones.size and (ones.min() < 0 or ones.max() >= n):
-        raise ShapeError(f"target index outside [0, {n}) for logits {logits.data.shape}")
-    s = np.negative(logits.data)
-    np.exp(s, out=s)
-    s += 1.0
-    np.divide(1.0, s, out=s)
-    # q = 1 - r where t = 0 and r where t = 1, for r = clip(s, eps, 1 - eps)
-    q = np.clip(s, eps, 1.0 - eps)
-    r_ones = q.ravel()[ones]
-    np.subtract(1.0, q, out=q)
-    q.ravel()[ones] = r_ones
-    loss = -np.log(q, out=q).sum() / n
-
-    def backward(g):
-        ds = s.copy()
-        ds.ravel()[ones] -= 1.0
-        ds[~((s > eps) & (s < 1.0 - eps))] = 0.0
-        ds /= n
-        ds *= g
-        return (ds,)
-
-    return _node(loss, (logits,), backward)
+    z = _as_tensor(z)
+    if z.ndim != 2:
+        raise ShapeError(f"inner_product_bce expects 2-d z, got {z.data.shape}")
+    n = z.data.shape[0]
+    if pattern.shape != (n, n):
+        raise ShapeError(f"target pattern {pattern.shape} does not fit z {z.data.shape}")
+    x = z.data
+    indptr, indices = pattern.indptr, pattern.indices
+    want_grad = _recording and z.requires_grad
+    dz = np.zeros_like(x) if want_grad else None
+    total = 0.0
+    for a in range(0, n, IP_BCE_BLOCK):
+        b = min(n, a + IP_BCE_BLOCK)
+        s = x[a:b] @ x[a:].T
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        # the block's ones: row r's sorted columns from a on
+        lengths = np.diff(indptr[a:b + 1])
+        rows = np.repeat(np.arange(b - a), lengths)
+        cols = indices[indptr[a]:indptr[b]] - a
+        keep = cols >= 0
+        ones = (rows[keep], cols[keep])
+        # q = 1 - r where t = 0 and r where t = 1, for r = clip(s, eps, 1 - eps)
+        q = np.clip(s, eps, 1.0 - eps)
+        r_ones = q[ones]
+        np.subtract(1.0, q, out=q)
+        q[ones] = r_ones
+        np.log(q, out=q)
+        total += q[:, :b - a].sum() + 2.0 * q[:, b - a:].sum()
+        if want_grad:
+            outside = (s <= eps) | (s >= 1.0 - eps)
+            s[ones] -= 1.0
+            s[outside] = 0.0
+            dz[a:b] += s @ x[a:]
+            dz[b:] += s[:, b - a:].T @ x[a:b]
+    size = float(n) * n
+    loss = -total / size
+    if not want_grad:
+        return Tensor(loss)
+    dz *= 2.0 / size
+    return _node(loss, (z,), lambda g: (g * dz,))
 
 
 def mse_matrix(recon, target):

@@ -157,9 +157,10 @@ def correlation_sensor_graph(samples, threshold=0.5):
     """Sensor graph over channels: edge where |Pearson r| >= threshold.
 
     samples: (B, T, C); correlations computed on the pooled time series.
-    At the default threshold the rectifier-like preset gets no edge at all
-    (its closest |r| is about 0.34), so STGCN's spatial block is the
-    identity on that preset.
+    At the default threshold the time-series presets get no edge at all:
+    at seed 0 the largest channel |r| over all samples is 0.157 on
+    rectifier-like and 0.115 on tep-like, so STGCN's spatial block is the
+    identity on them.
     """
     x = np.asarray(samples, dtype=np.float64)
     b, t, c = x.shape

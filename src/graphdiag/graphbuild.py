@@ -14,13 +14,17 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import DENSE_CAP, Graph, GraphError
+from .graph import DENSE_CAP, Graph, GraphError, mean_propagation, sym_propagation
 from .models import GaeModel, default_spec
 from .optim import make_optimizer
 
 # elements of the (rows, N, d) difference block one KNN chunk may form
 KNN_CHUNK_ELEMENTS = 2_000_000
 FEATURES_PER_CHANNEL = 12
+# samples per block of extract_feature_matrix
+FEATURE_CHUNK = 128
+# edges per block of feature_smoothness
+SMOOTHNESS_CHUNK = 4096
 FEATURE_NAMES = [
     "mean", "std", "rms", "peak_to_peak", "skewness", "kurtosis",
     "crest_factor", "spectral_centroid",
@@ -45,42 +49,52 @@ def extract_features(sample):
     Returns a vector of 12*C values (FEATURE_NAMES per channel, channels
     concatenated).  Constant channels get skewness/kurtosis/crest of 0.
     """
-    x = np.asarray(sample, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite values in sample")
-    t, c = x.shape
-    if t < 8:
-        raise ValueError(f"sample too short for feature extraction: T={t}")
-    feats = []
-    for ch in range(c):
-        s = x[:, ch]
-        mean = s.mean()
-        std = s.std()
-        rms = np.sqrt((s * s).mean())
-        p2p = s.max() - s.min()
-        if std > 0:
-            z = (s - mean) / std
-            skew = (z ** 3).mean()
-            kurt = (z ** 4).mean() - 3.0
-        else:
-            skew = 0.0
-            kurt = 0.0
-        crest = np.abs(s).max() / rms if rms > 0 else 0.0
-        spec = np.abs(np.fft.rfft(s - mean)) ** 2
-        freqs = np.arange(len(spec))
-        total = spec.sum()
-        centroid = (freqs * spec).sum() / total if total > 0 else 0.0
-        bands = np.array_split(spec, 4)
-        energies = [b.sum() / t for b in bands]
-        feats.extend([mean, std, rms, p2p, skew, kurt, crest, centroid, *energies])
-    return np.asarray(feats)
+    return extract_feature_matrix(np.asarray(sample, dtype=np.float64)[None])[0]
 
 
 def extract_feature_matrix(samples):
-    """Stack extract_features over a (B, T, C) array."""
-    return np.stack([extract_features(s) for s in samples])
+    """extract_features of every (T, C) sample of a (B, T, C) array, one row each.
+
+    Works one channel and FEATURE_CHUNK samples at a time, every statistic a
+    reduction along the contiguous time axis, so the memory peak stays that
+    of one (FEATURE_CHUNK, T) block whatever B is.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim == 2:                     # one-channel samples given as (B, T)
+        x = x[:, :, None]
+    b, t, c = x.shape
+    if t < 8:
+        raise ValueError(f"sample too short for feature extraction: T={t}")
+    out = np.empty((b, FEATURES_PER_CHANNEL * c))
+    for ch in range(c):
+        cols = slice(ch * FEATURES_PER_CHANNEL, (ch + 1) * FEATURES_PER_CHANNEL)
+        for a in range(0, b, FEATURE_CHUNK):
+            block = np.ascontiguousarray(x[a:a + FEATURE_CHUNK, :, ch])
+            out[a:a + FEATURE_CHUNK, cols] = _channel_features(block)
+    return out
+
+
+def _channel_features(s):
+    """The FEATURE_NAMES columns of each row of s, one channel's (m, T) series."""
+    if not np.isfinite(s).all():
+        raise ValueError("non-finite values in sample")
+    t = s.shape[1]
+    mean = s.mean(axis=1)
+    std = s.std(axis=1)
+    rms = np.sqrt((s * s).mean(axis=1))
+    p2p = s.max(axis=1) - s.min(axis=1)
+    centred = s - mean[:, None]
+    spread = std > 0
+    z = centred / np.where(spread, std, 1.0)[:, None]
+    skew = np.where(spread, (z ** 3).mean(axis=1), 0.0)
+    kurt = np.where(spread, (z ** 4).mean(axis=1) - 3.0, 0.0)
+    crest = np.divide(np.abs(s).max(axis=1), rms, out=np.zeros_like(rms), where=rms > 0)
+    spec = np.abs(np.fft.rfft(centred, axis=1)) ** 2
+    total = spec.sum(axis=1)
+    weighted = (np.arange(spec.shape[1]) * spec).sum(axis=1)
+    centroid = np.divide(weighted, total, out=np.zeros_like(total), where=total > 0)
+    energies = [band.sum(axis=1) / t for band in np.array_split(spec, 4, axis=1)]
+    return np.stack([mean, std, rms, p2p, skew, kurt, crest, centroid, *energies], axis=1)
 
 
 def standardize(features):
@@ -140,7 +154,7 @@ def prior_partition_graph(assignment, features=None, labels=None):
 
 
 def train_gae_on_graph(features, g, spec=None, rng_seed=None):
-    """Fit a GAE to reconstruct g's adjacency from features; returns (A_hat, model)."""
+    """Fit a GAE to reconstruct g's adjacency from features; returns (A_hat, model, losses)."""
     if spec is None:
         spec = default_spec("gae")
     if rng_seed is not None:
@@ -150,18 +164,12 @@ def train_gae_on_graph(features, g, spec=None, rng_seed=None):
     x = Tensor(standardize(features))
     model = GaeModel(x.shape[1], spec)
     opt = make_optimizer(spec.optimizer, model.params, spec.lr)
-    if spec.gae_loss == "bce":
-        # the adjacency's ones as flat indices, both orientations of each edge
-        i, j = g.edges[:, 0], g.edges[:, 1]
-        ones = np.concatenate([i * g.n + j, j * g.n + i])
-    else:
-        target = g.adjacency()
+    # the first layer's S x, constant across epochs; D^-1 A has A's ones as its pattern
+    sx = ad.propagate(sym_propagation(g), x)
+    pattern = mean_propagation(g)
     trace = []
     for _ in range(spec.epochs):
-        if spec.gae_loss == "bce":
-            loss = ad.bce_logits_matrix(model.logits(x, g), ones)
-        else:
-            loss = ad.mse_matrix(model.forward(x, g), target)
+        loss = ad.inner_product_bce(model.encode(x, g, sx=sx), pattern)
         if not np.isfinite(loss.data):
             raise RuntimeError(f"GAE training diverged at epoch {len(trace)}")
         trace.append(loss.item())
@@ -201,9 +209,15 @@ def feature_smoothness(g):
         raise GraphError("feature_smoothness requires node features")
     if g.n_edges == 0:
         raise GraphError("feature_smoothness of an empty edge set")
-    diffs = g.features[g.edges[:, 0]] - g.features[g.edges[:, 1]]
-    acc = (diffs * diffs).sum(axis=0)
     d = g.features.shape[1]
+    # edges in chunks: no (|E|, d) difference array, yet rows still add in edge order
+    acc = np.zeros(d)
+    for start in range(0, g.n_edges, SMOOTHNESS_CHUNK):
+        e = g.edges[start:start + SMOOTHNESS_CHUNK]
+        diffs = g.features[e[:, 0]] - g.features[e[:, 1]]
+        diffs *= diffs
+        diffs[0] += acc
+        acc = diffs.sum(axis=0)
     return float(np.linalg.norm(acc) / (g.n_edges * d))
 
 

@@ -7,7 +7,8 @@ GraphSage mean and gcn aggregators, the GAE encoder and the STGCN sensor
 mixing propagate through a sparse normalized adjacency; GAT attention is one
 fused op, `ad.gat_aggregate`, over the cached A + I CSR pattern; the
 GraphSage pool aggregator runs on edge lists.  No layer forms a dense N x N
-matrix; only the GAE decoder's reconstruction is dense by nature.
+matrix; only the GAE decoder's reconstruction `forward` is dense, and GAE
+training takes its loss from Z without it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class ModelSpec:
     seed: int = 0
     heads: int = 8
     widths: dict = field(default_factory=dict)
-    gae_loss: str = "bce"  # "bce" or "mse"
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True)
@@ -87,8 +87,11 @@ class GcnLayer:
         self.activation = activation
         self.params = [self.theta]
 
-    def __call__(self, x, g):
-        z = ad.matmul(ad.propagate(gr.sym_propagation(g), x), self.theta)
+    def __call__(self, x, g, sx=None):
+        """act(S x Theta); a caller whose x never changes passes sx = S x once computed."""
+        if sx is None:
+            sx = ad.propagate(gr.sym_propagation(g), x)
+        z = ad.matmul(sx, self.theta)
         return ad.relu(z) if self.activation == "relu" else z
 
 
@@ -293,9 +296,9 @@ class SageModel:
 class GaeModel:
     """GCN encoder + inner-product decoder: A_hat = sigmoid(Z Z^T).
 
-    `logits` returns the decoder's pre-sigmoid scores Z Z^T, which training
-    feeds to the fused `ad.bce_logits_matrix`; `forward` returns the
-    probabilities A_hat.
+    Training feeds the embedding Z from `encode` to `ad.inner_product_bce`,
+    which never forms Z Z^T; `logits` returns the dense pre-sigmoid scores
+    Z Z^T and `forward` the probabilities A_hat.
     """
 
     def __init__(self, c_in, spec):
@@ -306,8 +309,9 @@ class GaeModel:
         self.enc2 = GcnLayer(hidden, latent, rng, activation="identity", name="enc2")
         self.params = self.enc1.params + self.enc2.params
 
-    def encode(self, x, g):
-        return self.enc2(self.enc1(x, g), g)
+    def encode(self, x, g, sx=None):
+        """Embedding Z; sx = S x is the first layer's propagated input, if known."""
+        return self.enc2(self.enc1(x, g, sx=sx), g)
 
     def logits(self, x, g):
         z = self.encode(x, g)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,59 +397,122 @@ class TestGradCheck:
         self.check(build, 2)
 
 
-class TestBceLogits:
-    """The fused op against the composition bce_matrix(sigmoid(L), t)."""
+def ip_bce_case(rng, n, isolated=0, saturated=0):
+    """Embedding z (n, 3), the pattern of a random symmetric A with `isolated`
+    edge-free nodes, and A dense.  `saturated` rows of z get norm ~6, so the
+    logits they meet lie beyond the eps clamp."""
+    z = rng.normal(size=(n, 3))
+    if saturated:
+        big = rng.choice(n, size=saturated, replace=False)
+        z[big] *= 6.0 / np.linalg.norm(z[big], axis=1, keepdims=True)
+    pairs = rng.integers(0, n - isolated, size=(3 * n, 2)) if n > isolated else np.zeros((0, 2))
+    g = gr.Graph(n, pairs[pairs[:, 0] != pairs[:, 1]])
+    return z, gr.mean_propagation(g), g.adjacency()
 
-    @staticmethod
-    def case(seed, shape=(7, 9)):
-        rng = np.random.default_rng(seed)
-        logits = rng.normal(scale=4.0, size=shape)
-        # saturated entries: sigmoid(+-20) lies beyond the eps clamp
-        logits.ravel()[rng.choice(logits.size, size=12, replace=False)] = (
-            rng.choice([-1.0, 1.0], size=12) * rng.uniform(19.0, 21.0, size=12))
-        ones = rng.choice(logits.size, size=25)          # repeats mark an entry once
-        target = np.zeros(shape)
-        target.ravel()[ones] = 1.0
-        return logits, ones, target
+
+def ip_bce_compare(z, pattern, target):
+    """(loss, grad) of inner_product_bce and of the composition bce_matrix(sigmoid(Z Z^T), A)."""
+    fused = ad.Parameter(z.copy())
+    loss = ad.inner_product_bce(fused, pattern)
+    loss.backward()
+    plain = ad.Parameter(z.copy())
+    ref = ad.bce_matrix(ad.sigmoid(ad.matmul(plain, ad.transpose(plain, (1, 0)))), target)
+    ref.backward()
+    return loss.item(), fused.grad, ref.item(), plain.grad
+
+
+def assert_close_rel(got, want, rtol=1e-12):
+    scale = max(np.abs(want).max(), 1e-300)
+    assert np.abs(np.asarray(got) - want).max() <= rtol * scale
+
+
+class TestBceLogits:
+    """inner_product_bce, the GAE decoder's BCE on the logits Z Z^T, against
+    the composition bce_matrix(sigmoid(Z Z^T), A)."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_composition(self, seed):
-        logits, ones, target = self.case(seed)
-        fused = ad.Parameter(logits.copy())
-        loss = ad.bce_logits_matrix(fused, ones)
-        loss.backward()
-        plain = ad.Parameter(logits.copy())
-        ref = ad.bce_matrix(ad.sigmoid(plain), target)
-        ref.backward()
-        assert abs(loss.item() - ref.item()) <= 1e-12 * abs(ref.item())
-        np.testing.assert_allclose(fused.grad, plain.grad, rtol=1e-12, atol=1e-18)
-        clamped = np.abs(logits) > 17.0
-        assert clamped.any() and not fused.grad[clamped].any()
+        rng = np.random.default_rng(seed)
+        z, pattern, target = ip_bce_case(rng, 9, saturated=3)
+        loss, grad, ref, ref_grad = ip_bce_compare(z, pattern, target)
+        logits = z @ z.T
+        assert (np.abs(logits) > 17.0).any()
+        assert abs(loss - ref) <= 1e-12 * abs(ref)
+        assert_close_rel(grad, ref_grad)
 
     def test_grad_check(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            logits = ad.Parameter(rng.uniform(-3, 3, size=(4, 5)))
-            ones = rng.choice(20, size=6, replace=False)
-            assert ad.grad_check(lambda: ad.bce_logits_matrix(logits, ones), [logits]) < FD_TOL
+            z, pattern, _ = ip_bce_case(rng, 6)
+            z = ad.Parameter(z)
+            assert ad.grad_check(lambda: ad.inner_product_bce(z, pattern), [z]) < FD_TOL
 
     def test_shape_errors(self):
-        logits = ad.Tensor(np.zeros((3, 4)))
+        _, pattern, _ = ip_bce_case(np.random.default_rng(0), 4)
         with pytest.raises(ad.ShapeError):
-            ad.bce_logits_matrix(ad.Tensor(np.zeros(12)), [0, 1])
-        with pytest.raises(ad.ShapeError):         # a dense target is not an index list
-            ad.bce_logits_matrix(logits, np.zeros((3, 4)))
+            ad.inner_product_bce(ad.Tensor(np.zeros(4)), pattern)
         with pytest.raises(ad.ShapeError):
-            ad.bce_logits_matrix(logits, np.array([0.0, 1.5]))
-        for bad in ([12], [-1], [0, 3, 12]):
+            ad.inner_product_bce(ad.Tensor(np.zeros((4, 2, 1))), pattern)
+        for rows in (3, 5):
             with pytest.raises(ad.ShapeError):
-                ad.bce_logits_matrix(logits, bad)
+                ad.inner_product_bce(ad.Tensor(np.zeros((rows, 2))), pattern)
+        with pytest.raises(ad.ShapeError):
+            ad.inner_product_bce(ad.Tensor(np.zeros((4, 2))), sparse.csr_matrix((4, 5)))
 
     def test_no_ones_is_all_zero_target(self):
-        logits = np.random.default_rng(3).normal(size=(3, 3))
-        got = ad.bce_logits_matrix(ad.Tensor(logits), []).item()
-        want = ad.bce_matrix(ad.sigmoid(ad.Tensor(logits)), np.zeros((3, 3))).item()
-        assert got == pytest.approx(want, rel=1e-15)
+        z = np.random.default_rng(3).normal(size=(3, 2))
+        pattern = gr.mean_propagation(gr.Graph(3, []))
+        loss, grad, ref, ref_grad = ip_bce_compare(z, pattern, np.zeros((3, 3)))
+        assert loss == pytest.approx(ref, rel=1e-15)
+        assert_close_rel(grad, ref_grad)
+
+
+class TestInnerProductBce:
+    """The blocked walk of inner_product_bce: sizes on and across block edges, memory."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 131])
+    def test_block_edges_match_composition(self, n):
+        assert ad.IP_BCE_BLOCK == 64
+        rng = np.random.default_rng(n)
+        z, pattern, target = ip_bce_case(rng, n, isolated=min(n, 5), saturated=min(n, 4))
+        assert not target[n - min(n, 5):].any()
+        loss, grad, ref, ref_grad = ip_bce_compare(z, pattern, target)
+        assert abs(loss - ref) <= 1e-12 * abs(ref)
+        assert_close_rel(grad, ref_grad)
+
+    def test_fully_saturated_has_zero_gradient(self):
+        # every logit is 800, beyond the clamp, so no entry passes a gradient
+        z = ad.Parameter(np.full((70, 2), 20.0))
+        _, pattern, target = ip_bce_case(np.random.default_rng(1), 70)
+        loss = ad.inner_product_bce(z, pattern)
+        loss.backward()
+        assert not z.grad.any()
+        r = 1.0 - 1e-7                     # every sigmoid clamps to 1 - eps
+        want = -(target * np.log(r) + (1 - target) * np.log(1.0 - r)).mean()
+        assert loss.item() == pytest.approx(want, rel=1e-12)
+
+    def test_records_nothing_without_grad(self):
+        z, pattern, _ = ip_bce_case(np.random.default_rng(2), 10)
+        with ad.no_grad():
+            out = ad.inner_product_bce(ad.Parameter(z), pattern)
+        assert not out.requires_grad
+        assert out.item() == ad.inner_product_bce(ad.Tensor(z), pattern).item()
+
+    def test_memory_stays_far_below_n_squared(self):
+        n = 5000
+        rng = np.random.default_rng(4)
+        z = ad.Parameter(rng.normal(scale=0.3, size=(n, 16)))
+        pairs = rng.integers(0, n, size=(5 * n, 2))
+        pattern = gr.mean_propagation(gr.Graph(n, pairs[pairs[:, 0] != pairs[:, 1]]))
+        tracemalloc.start()
+        try:
+            loss = ad.inner_product_bce(z, pattern)
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss.item()) and z.grad.shape == (n, 16)
+        assert peak < n * n * 8 / 10
 
 
 def gat_reference(xp, a_self, a_nbr, g, slope):

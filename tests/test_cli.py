@@ -117,6 +117,25 @@ class TestBuildGraph:
         assert run(args) == 0
         assert read_tree(out) == first
 
+    def test_knn_gae_rerun_is_byte_identical(self, tmp_path):
+        # 150 nodes: the GAE loss walks more than one row block
+        rng = np.random.default_rng(1)
+        y = np.repeat(np.arange(3), 50)
+        x = rng.normal(size=(150, 6)) + 3.0 * y[:, None]
+        ds = fg.Dataset(samples=x, labels=y, class_names=["a", "b", "c"],
+                        manifest={"format_version": 1, "shape": [150, 6],
+                                  "classes": [{"name": n} for n in "abc"]})
+        fg.save_dataset(ds, tmp_path / "data")
+        assert len(x) > ad.IP_BCE_BLOCK
+        out = tmp_path / "g"
+        args = ["build-graph", "--dataset", tmp_path / "data", "--graph", "knn-gae",
+                "--k", "5", "--seed", "7", "--out", out]
+        assert run(args) == 0
+        first = read_tree(out)
+        assert json.loads(first["quality.json"])["edges"] >= 150 * 5 / 2
+        assert run(args) == 0
+        assert read_tree(out) == first
+
 
 class TestTrain:
     def test_baselines_and_summary(self, dataset_dir, tmp_path):

@@ -57,12 +57,46 @@ class TestExtractFeatures:
         with pytest.raises(ValueError):
             gb.extract_features(s)
 
+    @staticmethod
+    def features_by_loop(samples):
+        """The statistics sample by sample and channel by channel, in plain numpy."""
+        rows = []
+        for x in samples:
+            t = len(x)
+            feats = []
+            for ch in range(x.shape[1]):
+                s = x[:, ch]
+                mean, std = s.mean(), s.std()
+                rms = np.sqrt((s * s).mean())
+                skew = ((s - mean) / std) ** 3 if std > 0 else None
+                kurt = ((s - mean) / std) ** 4 if std > 0 else None
+                spec = np.abs(np.fft.rfft(s - mean)) ** 2
+                total = spec.sum()
+                feats += [mean, std, rms, s.max() - s.min(),
+                          skew.mean() if std > 0 else 0.0,
+                          kurt.mean() - 3.0 if std > 0 else 0.0,
+                          np.abs(s).max() / rms if rms > 0 else 0.0,
+                          (np.arange(len(spec)) * spec).sum() / total if total > 0 else 0.0]
+                feats += [b.sum() / t for b in np.array_split(spec, 4)]
+            rows.append(feats)
+        return np.asarray(rows)
+
     def test_matrix_stacks_rows(self):
         rng = np.random.default_rng(2)
-        samples = rng.normal(size=(3, 32, 2))
+        # more samples than one block, and constant channels (zero and non-zero)
+        samples = rng.normal(size=(gb.FEATURE_CHUNK + 5, 33, 4))
+        samples[:, :, 1] = 0.0
+        samples[::3, :, 2] = 1.5
         mat = gb.extract_feature_matrix(samples)
-        assert mat.shape == (3, 24)
-        assert np.array_equal(mat[1], gb.extract_features(samples[1]))
+        assert mat.shape == (len(samples), 4 * gb.FEATURES_PER_CHANNEL)
+        assert mat.tobytes() == self.features_by_loop(samples).tobytes()
+        assert mat[7].tobytes() == gb.extract_features(samples[7]).tobytes()
+
+    def test_matrix_rejects_non_finite_sample(self):
+        samples = np.zeros((gb.FEATURE_CHUNK + 2, 16, 2))
+        samples[-1, 3, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            gb.extract_feature_matrix(samples)
 
 
 class TestStandardize:
@@ -184,6 +218,18 @@ class TestSmoothness:
             g = gr.Graph(n, pairs, features=rng.normal(size=(n, 5)))
             assert gb.feature_smoothness(g) == pytest.approx(
                 self.loops_lambda_f(g), abs=1e-12)
+
+    def test_lambda_f_across_edge_chunks(self):
+        rng = np.random.default_rng(9)
+        pairs = rng.integers(0, 150, size=(6000, 2))
+        g = gr.Graph(150, pairs[pairs[:, 0] != pairs[:, 1]], features=rng.normal(size=(150, 3)))
+        assert g.n_edges > gb.SMOOTHNESS_CHUNK
+        got = gb.feature_smoothness(g)
+        assert got == pytest.approx(self.loops_lambda_f(g), abs=1e-12)
+        # one (|E|, d) difference array sums its rows in the same order
+        diffs = g.features[g.edges[:, 0]] - g.features[g.edges[:, 1]]
+        acc = (diffs * diffs).sum(axis=0)
+        assert got == float(np.linalg.norm(acc) / (g.n_edges * 3))
 
     def test_lambda_f_zero_for_identical_features(self):
         g = gr.Graph(3, [(0, 1), (1, 2)], features=np.ones((3, 4)))
