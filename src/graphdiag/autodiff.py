@@ -7,7 +7,11 @@ set is what the model layers need: dense linear algebra, propagation
 through a constant sparse graph operator, pointwise nonlinearities, edge-list
 gather / scatter / segment ops, GAT attention as one fused op (gat_aggregate:
 scores, segment softmax and weighted neighbour sum, with a hand-written
-backward), 1-d convolution and pooling, and the losses:
+backward), 1-d convolution (conv1d: per-tap GEMMs over cache-sized row
+blocks of the batch, broadcast products when Fin == 1) and max pooling
+(maxpool1d: a running maximum that keeps no index array; the backward finds
+the first argmax from the input), both with the bytes of the plain per-tap
+and argmax loops, and the losses:
 cross-entropy, binary cross-entropy over a matrix of probabilities
 (bce_matrix), the GAE inner-product decoder's binary cross-entropy taken
 from the embedding Z in row blocks, so GAE training forms no N x N array
@@ -339,8 +343,24 @@ def mean_(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 # 1-d convolution / pooling (valid padding, channels-last)
 
+# output (or output-gradient) elements per row block of conv1d: a block takes
+# all K taps while it is in cache
+CONV_BLOCK_ELEMENTS = 32768
+
+
 def conv1d(signal, kernel, stride=1):
-    """Valid cross-correlation.  signal: (B, T, Fin), kernel: (K, Fin, Fout)."""
+    """Valid cross-correlation.  signal: (B, T, Fin), kernel: (K, Fin, Fout).
+
+    Each output element is summed as 0 + tap 0 + tap 1 + ..., where tap k is
+    x[:, k::stride] @ w[k], one GEMM per sample.  The taps run over row blocks
+    of the batch, CONV_BLOCK_ELEMENTS output elements each, so a block takes
+    all K taps while it is in cache; a tap is the same GEMM on every block
+    size, so the bytes do not depend on the blocking (except the sign of a
+    NaN summed from NaNs of both signs, which numpy's add loops may pick
+    either way).  With Fin == 1 a tap is a broadcast product, summed in a
+    feature-major block (inner loops of length Tout).  The backward blocks dx
+    the same way; dw is one GEMM per tap.
+    """
     x, w = _as_tensor(signal), _as_tensor(kernel)
     if x.ndim != 3 or w.ndim != 3:
         raise ShapeError(f"conv1d expects (B,T,Fin) and (K,Fin,Fout), got {x.data.shape} and {w.data.shape}")
@@ -351,25 +371,54 @@ def conv1d(signal, kernel, stride=1):
     if T < K:
         raise ShapeError(f"conv1d signal length {T} shorter than kernel {K}")
     Tout = (T - K) // stride + 1
-    out = np.zeros((B, Tout, Fout))
-    for k in range(K):
-        out += x.data[:, k:k + stride * Tout:stride, :] @ w.data[k]
+    span = stride * Tout
+    rows = max(1, CONV_BLOCK_ELEMENTS // max(1, Tout * Fout))
+    if Fin == 1:
+        out = np.empty((B, Tout, Fout))
+        xs = x.data[:, :, 0]
+        wk = w.data[:, 0, :, None]                      # (K, Fout, 1)
+        acc = np.empty((min(rows, B), Fout, Tout))
+        tap = np.empty_like(acc)
+        for a in range(0, B, rows):
+            b = min(B, a + rows)
+            ac, tp = acc[:b - a], tap[:b - a]
+            np.multiply(xs[a:b, None, :span:stride], wk[0], out=ac)
+            for k in range(1, K):
+                np.multiply(xs[a:b, None, k:k + span:stride], wk[k], out=tp)
+                ac += tp
+            # + 0.0 turns a -0.0 sum into the +0.0 of a sum started at 0
+            np.add(ac.transpose(0, 2, 1), 0.0, out=out[a:b])
+    else:
+        out = np.zeros((B, Tout, Fout))
+        for a in range(0, B, rows):
+            ob, xb = out[a:a + rows], x.data[a:a + rows]
+            for k in range(K):
+                ob += xb[:, k:k + span:stride] @ w.data[k]
 
     def backward(g):
         dx = np.zeros_like(x.data)
         dw = np.empty_like(w.data)
         g2 = g.reshape(-1, Fout)
         for k in range(K):
-            xs = x.data[:, k:k + stride * Tout:stride, :]
-            dw[k] = xs.reshape(-1, Fin).T @ g2
-            dx[:, k:k + stride * Tout:stride, :] += g @ w.data[k].T
+            dw[k] = x.data[:, k:k + span:stride].reshape(-1, Fin).T @ g2
+        for a in range(0, B, rows):
+            gb, dxb = g[a:a + rows], dx[a:a + rows]
+            for k in range(K):
+                dxb[:, k:k + span:stride] += gb @ w.data[k].T
         return dx, dw
 
     return _node(out, (x, w), backward)
 
 
 def maxpool1d(signal, window):
-    """Non-overlapping max pooling along the time axis; trailing remainder dropped."""
+    """Non-overlapping max pooling along the time axis; trailing remainder dropped.
+
+    The forward is a running np.maximum over the window offsets and keeps no
+    index array.  The backward finds each window's first argmax anew from
+    the input: the first offset whose value equals the max, or the first
+    NaN.  g goes there by one np.where that writes the gradient in place of
+    a zero buffer, and the remainder gets zero.
+    """
     x = _as_tensor(signal)
     if x.ndim != 3:
         raise ShapeError(f"maxpool1d expects (B,T,F), got {x.data.shape}")
@@ -377,15 +426,33 @@ def maxpool1d(signal, window):
     Tout = T // window
     if Tout == 0:
         raise ShapeError(f"maxpool1d window {window} exceeds length {T}")
-    xr = x.data[:, :Tout * window, :].reshape(B, Tout, window, F)
-    idx = xr.argmax(axis=2)
-    out = xr.max(axis=2)
+    span = Tout * window
+    if F == 1:
+        # numpy reduces along the window here, and a NaN comes out with
+        # other bytes than the running maximum gives
+        out = x.data[:, :span].reshape(B, Tout, window, F).max(axis=2)
+    else:
+        out = x.data[:, :span:window].copy()
+        for j in range(1, window):
+            np.maximum(out, x.data[:, j:span:window], out=out)
 
     def backward(g):
-        dr = np.zeros((B, Tout, window, F))
-        np.put_along_axis(dr, idx[:, :, None, :], g[:, :, None, :], axis=2)
+        xw = x.data[:, :span].reshape(B, Tout, window, F)
+        hit = xw == out[:, :, None, :]
+        if np.isnan(out).any():
+            # a NaN input makes the max NaN, which equals nothing
+            hit |= np.isnan(xw)
+        # keep each window's first hit
+        taken = hit[:, :, 0]
+        for j in range(1, window):
+            hit[:, :, j] &= ~taken
+            if j < window - 1:
+                taken = taken | hit[:, :, j]
+        pooled = np.where(hit, g[:, :, None, :], 0.0).reshape(B, span, F)
+        if span == T:
+            return (pooled,)
         dx = np.zeros_like(x.data)
-        dx[:, :Tout * window, :] = dr.reshape(B, Tout * window, F)
+        dx[:, :span] = pooled
         return (dx,)
 
     return _node(out, (x,), backward)

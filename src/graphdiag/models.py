@@ -457,10 +457,16 @@ class KnnClassifier:
         return self
 
     def predict(self, x):
+        # graphbuild imports this module, so its budget is read at call time
+        from .graphbuild import KNN_CHUNK_ELEMENTS
+
         x = np.asarray(x, dtype=np.float64).reshape(len(x), -1)
-        d2 = ((x[:, None, :] - self.x[None, :, :]) ** 2).sum(axis=2)
         k = min(self.k, len(self.y))
-        idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        rows = max(1, KNN_CHUNK_ELEMENTS // max(1, self.x.size))
+        idx = np.empty((len(x), k), dtype=np.intp)
+        for a in range(0, len(x), rows):
+            d2 = ((x[a:a + rows, None, :] - self.x[None, :, :]) ** 2).sum(axis=2)
+            idx[a:a + rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
         votes = self.y[idx]
         out = np.empty(len(x), dtype=np.intp)
         for i, row in enumerate(votes):

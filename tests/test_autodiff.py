@@ -201,6 +201,125 @@ class TestKernelOracles:
         assert np.abs(w.grad - dw).max() < 1e-12
 
 
+def conv_taps_reference(x, w, stride, g):
+    """conv1d's output, dx and dw as one per-tap loop over the whole batch."""
+    B, T, Fin = x.shape
+    K, _, Fout = w.shape
+    tout = (T - K) // stride + 1
+    out = np.zeros((B, tout, Fout))
+    dx = np.zeros_like(x)
+    dw = np.empty_like(w)
+    for k in range(K):
+        xs = x[:, k:k + stride * tout:stride]
+        out += xs @ w[k]
+        dw[k] = xs.reshape(-1, Fin).T @ g.reshape(-1, Fout)
+        dx[:, k:k + stride * tout:stride] += g @ w[k].T
+    return out, dx, dw
+
+
+def maxpool_backward_reference(x, window, g):
+    """Gradient to each window's argmax through a (B, Tout, window, F) buffer."""
+    B, T, F = x.shape
+    tout = T // window
+    idx = x[:, :tout * window].reshape(B, tout, window, F).argmax(axis=2)
+    dr = np.zeros((B, tout, window, F))
+    np.put_along_axis(dr, idx[:, :, None, :], g[:, :, None, :], axis=2)
+    dx = np.zeros_like(x)
+    dx[:, :tout * window] = dr.reshape(B, tout * window, F)
+    return dx
+
+
+def with_specials(rng, shape, values):
+    """Normal draws, rounded to one decimal (ties), a third replaced by `values`."""
+    a = np.round(rng.normal(size=shape), 1)
+    hit = rng.random(shape) < 0.3
+    a[hit] = rng.choice(values, size=int(hit.sum()))
+    return a
+
+
+class TestTemporalKernelBytes:
+    """conv1d and maxpool1d against the plain loops, byte for byte."""
+
+    @pytest.mark.parametrize("fin, stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("small_blocks", [False, True])
+    def test_conv1d_matches_per_tap_loop(self, fin, stride, small_blocks, monkeypatch):
+        T, K, Fout = 40, 5, 8
+        tout = (T - K) // stride + 1
+        if small_blocks:
+            monkeypatch.setattr(ad, "CONV_BLOCK_ELEMENTS", 3 * tout * Fout)
+        rows = ad.CONV_BLOCK_ELEMENTS // (tout * Fout)
+        B = 2 * rows + rows // 2 + 1        # two full row blocks and a partial one
+        rng = np.random.default_rng(fin + 10 * stride)
+        x = ad.Parameter(with_specials(rng, (B, T, fin), [0.0, -0.0]))
+        w = ad.Parameter(with_specials(rng, (K, fin, Fout), [0.0, -0.0]))
+        out = ad.conv1d(x, w, stride=stride)
+        g = with_specials(rng, out.shape, [0.0, -0.0])
+        out.backward(g)
+        want = conv_taps_reference(x.data, w.data, stride, g)
+        assert out.data.tobytes() == want[0].tobytes()
+        assert x.grad.tobytes() == want[1].tobytes()
+        assert w.grad.tobytes() == want[2].tobytes()
+
+    @pytest.mark.parametrize("F", [1, 2, 8])
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_maxpool1d_matches_reference(self, F, window):
+        rng = np.random.default_rng(F + 10 * window)
+        T = 7 * window + window - 1          # a trailing remainder unless window is 1
+        values = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+        x = ad.Parameter(with_specials(rng, (5, T, F), values))
+        out = ad.maxpool1d(x, window)
+        xr = x.data[:, :7 * window].reshape(5, 7, window, F)
+        assert out.data.tobytes() == xr.max(axis=2).tobytes()
+        g = with_specials(rng, out.shape, values)
+        out.backward(g)
+        assert x.grad.tobytes() == maxpool_backward_reference(x.data, window, g).tobytes()
+
+    @pytest.mark.parametrize("F", [1, 2])
+    def test_maxpool1d_first_index_takes_the_gradient(self, F):
+        windows = [[1.0, 1.0, 0.5],             # tie
+                   [-0.0, 0.0, -1.0],           # signed zeros compare equal
+                   [0.0, -0.0, -1.0],
+                   [1.0, np.nan, 2.0],          # the first NaN is the max
+                   [np.nan, 3.0, -np.nan],
+                   [-np.inf, -np.inf, -np.inf]]
+        x = np.repeat(np.array(windows).reshape(1, -1, 1), F, axis=2)
+        x = ad.Parameter(np.concatenate([x, np.full((1, 2, F), 9.0)], axis=1))
+        out = ad.maxpool1d(x, 3)
+        g = np.arange(1.0, 7.0)[None, :, None] * np.ones((1, 1, F))
+        out.backward(g)
+        first = [0, 0, 0, 1, 0, 0]
+        want = np.zeros((1, 20, F))
+        want[0, 3 * np.arange(6) + first] = g[0]
+        assert x.grad.tobytes() == want.tobytes()      # the remainder's 9s get zero
+        assert x.grad.tobytes() == maxpool_backward_reference(x.data, 3, g).tobytes()
+
+    def test_maxpool1d_keeps_no_index_array(self):
+        x = ad.Parameter(np.random.default_rng(3).normal(size=(64, 256, 8)))
+        tracemalloc.start()
+        try:
+            out = ad.maxpool1d(x, 2)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert live < out.data.nbytes + 16 * 1024
+
+    def test_conv1d_builds_no_tap_sized_buffer(self):
+        rng = np.random.default_rng(4)
+        x = ad.Parameter(rng.normal(size=(4096, 256, 1)))
+        w = ad.Parameter(rng.normal(size=(5, 1, 8)))
+        tracemalloc.start()
+        try:
+            out = ad.conv1d(x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block's accumulator and tap hold CONV_BLOCK_ELEMENTS each at most; a
+        # tap-sized (B, Tout, Fout) or im2col (B, Tout, K * Fin) array would
+        # need 66 or 41 MB; 256 KiB covers numpy's ufunc buffers
+        assert peak < out.data.nbytes + 2 * 8 * ad.CONV_BLOCK_ELEMENTS + 256 * 1024
+
+
 class TestBackward:
     def test_leaf_accumulation_reused_operand(self):
         # y = x*x + x uses x three times; dy/dx = 2x + 1

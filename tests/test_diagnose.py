@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,3 +346,39 @@ class TestLearningCurve:
             return dg.learning_curve(lambda: None, ds, specs, [6], [0, 1], n_val=4)
 
         assert run() == run()
+
+
+# An STGCN fit and its test logits, then a GCN forward and the gradient of
+# its loss with respect to the input, hashed.  The GCN's weight gradients are
+# left out: matmul's a.T @ g over the graph's 1067 rows gives gc.theta and
+# fc1.w other bytes on two BLAS threads than on one, so a GCN fit does too.
+THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from graphdiag import autodiff as ad, diagnose as dg, faultgen as fg, graphbuild as gb, models as md
+ds = fg.generate_preset("rectifier-like", 0)
+masks = dg.split(ds.labels, dg.SplitSpec(60, 30, seed=0))
+model, trace, (mean, std) = dg.train_graph_level(ds, masks, md.default_spec("stgcn", epochs=2))
+with ad.no_grad():
+    logits = model.forward((ds.samples[masks["test"]] - mean) / std).data
+digest = hashlib.sha256(np.asarray(trace).tobytes() + logits.tobytes())
+g = gb.knn_graph(gb.extract_feature_matrix(ds.samples), 45, labels=ds.labels)
+x = ad.Parameter(gb.standardize(g.features))
+logits = md.GcnModel(x.shape[1], ds.n_classes, md.default_spec("gcn")).forward(x, g)
+ad.cross_entropy(logits, np.eye(ds.n_classes)[ds.labels], masks["train"]).backward()
+digest.update(logits.data.tobytes() + x.grad.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_blas_thread_count():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]

@@ -1,11 +1,13 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from graphdiag import autodiff as ad
 from graphdiag import graph as gr
+from graphdiag import graphbuild as gb
 from graphdiag import models as md
 from graphdiag.autodiff import Tensor
 from graphdiag.checkpoint import save_checkpoint, load_checkpoint
@@ -440,6 +442,32 @@ class TestBaselines:
         clf = md.KnnClassifier(k=5).fit(x, y)
         assert np.array_equal(clf.predict(np.array([[0.0, 0.0], [20.0, 20.0]])),
                               [0, 1])
+
+    @pytest.mark.parametrize("budget", [1, 7 * 40 * 3, None])
+    def test_knn_row_blocks_match_one_block(self, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(gb, "KNN_CHUNK_ELEMENTS", budget)
+        rng = np.random.default_rng(29)
+        x = np.round(rng.normal(size=(40, 3)), 1)      # rounded: distance ties
+        y = rng.integers(0, 4, size=40)
+        q = np.round(rng.normal(size=(23, 3)), 1)
+        d2 = ((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        votes = y[np.argsort(d2, axis=1, kind="stable")[:, :5]]
+        want = [np.bincount(row).argmax() for row in votes]
+        assert np.array_equal(md.KnnClassifier(k=5).fit(x, y).predict(q), want)
+
+    def test_knn_predict_memory_is_bounded(self):
+        rng = np.random.default_rng(30)
+        clf = md.KnnClassifier(k=5).fit(rng.normal(size=(50, 1536)), rng.integers(0, 3, 50))
+        q = rng.normal(size=(200, 1536))
+        tracemalloc.start()
+        try:
+            clf.predict(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (200, 50, 1536) difference array would take 117 MB
+        assert peak < 2 * 8 * gb.KNN_CHUNK_ELEMENTS + 1024 * 1024
 
 
 class TestCheckpoint:
