@@ -429,7 +429,9 @@ def maxpool1d(signal, window):
     span = Tout * window
     if F == 1:
         # numpy reduces along the window here, and a NaN comes out with
-        # other bytes than the running maximum gives
+        # other bytes than the running maximum gives.  Only for those bytes:
+        # no model pools at F == 1 (STGCN pools at 8, Cnn1d at 16), and at
+        # F == 8 the running maximum is 2-4x faster than this reduction
         out = x.data[:, :span].reshape(B, Tout, window, F).max(axis=2)
     else:
         out = x.data[:, :span:window].copy()
