@@ -99,6 +99,16 @@ def _write_config(out_dir, cfg):
     (out_dir / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True))
 
 
+def _model_names(args):
+    """The --model list; every name must be a classifier (any architecture but gae)."""
+    names = [m.strip().lower() for m in args.model.split(",")]
+    known = [a for a in md.ARCHITECTURES if a != "gae"]
+    unknown = [m for m in names if m not in known]
+    if unknown:
+        raise ConfigError(f"unknown model {', '.join(unknown)}; known: {', '.join(known)}")
+    return names
+
+
 def _spec_for(name, seed, args):
     spec = md.default_spec(name, seed=seed)
     if getattr(args, "epochs", None):
@@ -136,17 +146,16 @@ def cmd_build_graph(args):
 
 
 def cmd_train(args):
+    model_names = _model_names(args)
     dataset = _load_dataset(args)
-    model_names = [m.strip().lower() for m in args.model.split(",")]
     seeds = _seeds(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    features = _node_features(dataset)
-    g = None
-    if any(m in md.NODE_LEVEL for m in model_names):
-        g = _build_graph(args, dataset, features)
+    g = (_build_graph(args, dataset, _node_features(dataset))
+         if any(m in md.NODE_LEVEL for m in model_names) else None)
     quality = gb.graph_quality(g).to_dict() if g is not None else None
     fingerprint = json.dumps(_resolved_config(args), sort_keys=True)
+    source = "test" if args.sensor_graph_from_test else "train"
     aggregates = {}
     for name in model_names:
         reports = []
@@ -155,26 +164,9 @@ def cmd_train(args):
             masks = dg.split(dataset.labels,
                              dg.SplitSpec(args.train_size, args.val_size,
                                           seed=fg.seed_stream(seed, "split")))
-            if name in md.NODE_LEVEL:
-                model, _ = dg.train_node_level(name, g, masks, spec,
-                                               n_classes=dataset.n_classes)
-                pred = dg.predict_node_level(model, g)[masks["test"]]
-            elif name == "stgcn":
-                source = "test" if args.sensor_graph_from_test else "train"
-                model, _, norm = dg.train_graph_level(dataset, masks, spec,
-                                                      sensor_graph_source=source)
-                xs = (dataset.samples - norm[0]) / norm[1]
-                with ad.no_grad():
-                    pred = model.forward(xs[masks["test"]]).data.argmax(axis=1)
-            else:
-                spec.architecture = name
-                if name == "knn-classifier":
-                    clf, _, xs = dg.train_baseline(dataset, masks, spec)
-                    pred = clf.predict(xs[masks["test"]])
-                else:
-                    model, _, inputs = dg.train_baseline(dataset, masks, spec)
-                    with ad.no_grad():
-                        pred = model.forward(inputs[masks["test"]]).data.argmax(axis=1)
+            pred = dg.train_and_predict(name, dataset, g, masks, spec,
+                                        n_classes=dataset.n_classes,
+                                        sensor_graph_source=source)
             rep = dg.evaluate_predictions(dataset.labels[masks["test"]], pred,
                                           dataset.n_classes, graph_quality=quality,
                                           fingerprint=fingerprint, seeds=[seed])
@@ -189,21 +181,17 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def cmd_evaluate(args):
-    return cmd_train(args)
-
-
 def cmd_curve(args):
+    model_names = _model_names(args)
+    if args.sensor_graph_from_test:
+        raise ConfigError("curve builds each STGCN sensor graph from its train split; "
+                          "--sensor-graph-from-test applies to train only")
     dataset = _load_dataset(args)
-    features = _node_features(dataset)
-    model_names = [m.strip().lower() for m in args.model.split(",")]
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes \
         else list(range(10, 101, 10))
     seeds = _seeds(args)
-    specs = {}
-    for name in model_names:
-        specs[name] = _spec_for(name, 0, args)
-    curve = dg.learning_curve(lambda: _build_graph(args, dataset, features),
+    specs = {name: _spec_for(name, 0, args) for name in model_names}
+    curve = dg.learning_curve(lambda: _build_graph(args, dataset, _node_features(dataset)),
                               dataset, specs, sizes, seeds, n_val=args.val_size)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -276,7 +264,7 @@ def build_parser(config=None):
 
     p = sub.add_parser("evaluate", help="alias of train (train + test report)")
     common(p)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("curve", help="learning-curve experiment")
     common(p)

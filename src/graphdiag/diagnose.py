@@ -1,15 +1,20 @@
-"""End-to-end diagnosis: splits, training loops, evaluation, learning curves.
+"""End-to-end diagnosis: splits, training, evaluation, learning curves.
 
 Node-level training is full-batch and transductive (test labels are never
 read); graph-level training is minibatched over samples with the sensor
-graph built from channel correlations.  Reports are deterministic JSON
+graph built from channel correlations.  Each trainer prepares its data and
+yields the optimizer steps of an epoch; `optim.fit` runs the epochs, checks
+for divergence, records the loss trace and restores the best-on-validation
+parameters.  `train_and_predict` dispatches any classifier name to its
+trainer and predicts the test split; the CLI's `train` and every
+learning-curve cell go through it.  Reports are deterministic JSON
 documents per (config, seed).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +25,7 @@ from .graph import Graph
 from . import graphbuild as gb
 from . import models as md
 from .faultgen import seed_stream
-from .optim import make_optimizer
-
-
-class DivergenceError(RuntimeError):
-    pass
+from .optim import DivergenceError, fit  # noqa: F401  (DivergenceError re-exported)
 
 
 @dataclass
@@ -103,16 +104,7 @@ def one_hot(labels, n_classes):
 
 
 # ---------------------------------------------------------------------------
-# training loops
-
-def _snapshot(params):
-    return [p.data.copy() for p in params]
-
-
-def _restore(params, snap):
-    for p, d in zip(params, snap):
-        p.data = d.copy()
-
+# training: each trainer yields the steps of an epoch, and optim.fit runs them
 
 def train_node_level(architecture, g, masks, spec, n_classes=None):
     """Algorithm for node-level diagnosis: full-graph epochs, masked CE loss,
@@ -130,27 +122,16 @@ def train_node_level(architecture, g, masks, spec, n_classes=None):
     safe_labels = np.where(visible, g.labels, 0)
     y = one_hot(safe_labels, n_classes)
     model = md.build_node_model(architecture, x.shape[1], n_classes, spec)
-    opt = make_optimizer(spec.optimizer, model.params, spec.lr)
-    trace = []
-    best = (_snapshot(model.params), -1.0)
-    use_val = masks["val"].any()
-    for epoch in range(spec.epochs):
+    val = masks["val"]
+
+    def steps(epoch):
         logits = model.forward(x, g)
-        loss = ad.cross_entropy(logits, y, masks["train"])
-        if not np.isfinite(loss.data):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}")
-        trace.append(loss.item())
-        if use_val:
-            # the logits came from the parameters as they are before this step
-            pred = logits.data.argmax(axis=1)
-            acc = float((pred[masks["val"]] == safe_labels[masks["val"]]).mean())
-            if acc >= best[1]:
-                best = (_snapshot(model.params), acc)
-        loss.backward()
-        opt.step()
-    if use_val and spec.epochs > 0:
-        _restore(model.params, best[0])
-    return model, trace
+        # scored on the logits of the parameters as they are before this step
+        pred = logits.data.argmax(axis=1)
+        acc = float((pred[val] == safe_labels[val]).mean()) if val.any() else None
+        yield ad.cross_entropy(logits, y, masks["train"]), 1, acc
+
+    return model, fit(model, spec, steps)
 
 
 def correlation_sensor_graph(samples, threshold=0.5):
@@ -163,13 +144,21 @@ def correlation_sensor_graph(samples, threshold=0.5):
     identity on them.
     """
     x = np.asarray(samples, dtype=np.float64)
-    b, t, c = x.shape
-    flat = x.transpose(0, 1, 2).reshape(b * t, c)
-    r = np.corrcoef(flat, rowvar=False)
-    r = np.nan_to_num(r, nan=0.0)
-    pairs = [(i, j) for i in range(c) for j in range(i + 1, c)
-             if abs(r[i, j]) >= threshold]
-    return Graph(c, np.asarray(pairs, dtype=np.intp).reshape(-1, 2))
+    c = x.shape[2]
+    r = np.nan_to_num(np.corrcoef(x.reshape(-1, c), rowvar=False), nan=0.0).reshape(c, c)
+    return Graph(c, np.argwhere(np.triu(np.abs(r) >= threshold, 1)))
+
+
+def _score_after_step(model, inputs, labels):
+    """fit's post-step validation score of a sample model; None without samples."""
+    if not len(labels):
+        return None
+
+    def score():
+        with ad.no_grad():
+            pred = model.forward(inputs).data.argmax(axis=1)
+        return float((pred == labels).mean())
+    return score
 
 
 def train_graph_level(dataset, masks, spec, sensor_graph_source="train",
@@ -189,7 +178,6 @@ def train_graph_level(dataset, masks, spec, sensor_graph_source="train",
     sensor_graph = correlation_sensor_graph(dataset.samples[src_mask], corr_threshold)
     n_classes = dataset.n_classes
     model = md.StgcnModel(dataset.samples.shape[2], n_classes, spec, sensor_graph)
-    opt = make_optimizer(spec.optimizer, model.params, spec.lr)
     rng = np.random.default_rng(seed_stream(spec.seed, "stgcn-batches"))
     train_idx = np.flatnonzero(masks["train"])
     val_idx = np.flatnonzero(masks["val"])
@@ -198,30 +186,16 @@ def train_graph_level(dataset, masks, spec, sensor_graph_source="train",
     std = dataset.samples[train_idx].std(axis=(0, 1))
     std = np.where(std > 0, std, 1.0)
     xs = (dataset.samples - mean) / std
-    trace = []
-    best = (_snapshot(model.params), -1.0)
-    for epoch in range(spec.epochs):
+
+    def steps(epoch):
         order = rng.permutation(train_idx)
-        total = 0.0
         for start in range(0, len(order), batch_size):
             idx = order[start:start + batch_size]
             logits = model.forward(xs[idx])
-            loss = ad.cross_entropy(logits, y[idx], np.ones(len(idx), dtype=bool))
-            if not np.isfinite(loss.data):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            total += loss.item() * len(idx)
-            loss.backward()
-            opt.step()
-        trace.append(total / len(order))
-        if len(val_idx):
-            with ad.no_grad():
-                pred = model.forward(xs[val_idx]).data.argmax(axis=1)
-            acc = float((pred == dataset.labels[val_idx]).mean())
-            if acc >= best[1]:
-                best = (_snapshot(model.params), acc)
-    if len(val_idx) and spec.epochs > 0:
-        _restore(model.params, best[0])
-    return model, trace, (mean, std)
+            yield ad.cross_entropy(logits, y[idx], np.ones(len(idx), dtype=bool)), len(idx), None
+
+    score = _score_after_step(model, xs[val_idx], dataset.labels[val_idx])
+    return model, fit(model, spec, steps, score), (mean, std)
 
 
 def train_baseline(dataset, masks, spec):
@@ -250,29 +224,37 @@ def train_baseline(dataset, masks, spec):
         inputs = xs.reshape(dataset.samples.shape)
     else:
         raise ValueError(f"unknown baseline {arch!r}")
-    opt = make_optimizer(spec.optimizer, model.params, spec.lr)
     y = one_hot(dataset.labels, n_classes)
-    trace = []
-    best = (_snapshot(model.params), -1.0)
     rng = np.random.default_rng(seed_stream(spec.seed, "baseline-batches"))
-    for epoch in range(spec.epochs):
+
+    def steps(epoch):
         order = rng.permutation(train_idx)
         logits = model.forward(inputs[order])
-        loss = ad.cross_entropy(logits, y[order], np.ones(len(order), dtype=bool))
-        if not np.isfinite(loss.data):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}")
-        trace.append(loss.item())
-        loss.backward()
-        opt.step()
-        if len(val_idx):
-            with ad.no_grad():
-                pred = model.forward(inputs[val_idx]).data.argmax(axis=1)
-            acc = float((pred == dataset.labels[val_idx]).mean())
-            if acc >= best[1]:
-                best = (_snapshot(model.params), acc)
-    if len(val_idx) and spec.epochs > 0:
-        _restore(model.params, best[0])
-    return model, trace, inputs
+        # weight 1: the trace entry is the loss itself, not (loss * n) / n
+        yield ad.cross_entropy(logits, y[order], np.ones(len(order), dtype=bool)), 1, None
+
+    score = _score_after_step(model, inputs[val_idx], dataset.labels[val_idx])
+    return model, fit(model, spec, steps, score), inputs
+
+
+def train_and_predict(architecture, dataset, g, masks, spec, n_classes=None,
+                      sensor_graph_source="train"):
+    """Predicted classes of the test split, trained on g (node-level models)
+    or on dataset (STGCN and the baselines)."""
+    test = masks["test"]
+    if architecture in md.NODE_LEVEL:
+        model, _ = train_node_level(architecture, g, masks, spec, n_classes=n_classes)
+        return predict_node_level(model, g)[test]
+    if architecture == "stgcn":
+        model, _, (mean, std) = train_graph_level(dataset, masks, spec,
+                                                  sensor_graph_source=sensor_graph_source)
+        inputs = (dataset.samples - mean) / std
+    else:
+        model, _, inputs = train_baseline(dataset, masks, spec)
+    if architecture == "knn-classifier":
+        return model.predict(inputs[test])
+    with ad.no_grad():
+        return model.forward(inputs[test]).data.argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -383,33 +365,24 @@ def pca_project(x, dims=2):
 # ---------------------------------------------------------------------------
 # learning curves
 
-def run_node_experiment(architecture, g, n_train, n_val, seed, spec=None,
-                        n_classes=None):
+def _cell(architecture, dataset, g, n_train, n_val, seed, spec, n_classes=None):
     """One (model, train size, seed) cell: split, train, test accuracy."""
+    labels = dataset.labels if g is None else g.labels
     if spec is None:
         spec = md.default_spec(architecture)
     spec.seed = seed_stream(seed, f"{architecture}-init")
-    masks = split(g.labels, SplitSpec(n_train, n_val, seed=seed_stream(seed, "split")))
-    model, _ = train_node_level(architecture, g, masks, spec, n_classes=n_classes)
-    pred = predict_node_level(model, g)
-    test = masks["test"]
-    return float((pred[test] == g.labels[test]).mean())
+    masks = split(labels, SplitSpec(n_train, n_val, seed=seed_stream(seed, "split")))
+    pred = train_and_predict(architecture, dataset, g, masks, spec, n_classes=n_classes)
+    return float((pred == labels[masks["test"]]).mean())
+
+
+def run_node_experiment(architecture, g, n_train, n_val, seed, spec=None,
+                        n_classes=None):
+    return _cell(architecture, None, g, n_train, n_val, seed, spec, n_classes)
 
 
 def run_baseline_experiment(architecture, dataset, n_train, n_val, seed, spec=None):
-    if spec is None:
-        spec = md.default_spec(architecture)
-    spec.seed = seed_stream(seed, f"{architecture}-init")
-    masks = split(dataset.labels, SplitSpec(n_train, n_val,
-                                            seed=seed_stream(seed, "split")))
-    if architecture == "knn-classifier":
-        clf, _, xs = train_baseline(dataset, masks, spec)
-        pred = clf.predict(xs[masks["test"]])
-    else:
-        model, _, inputs = train_baseline(dataset, masks, spec)
-        with ad.no_grad():
-            pred = model.forward(inputs[masks["test"]]).data.argmax(axis=1)
-    return float((pred == dataset.labels[masks["test"]]).mean())
+    return _cell(architecture, dataset, None, n_train, n_val, seed, spec)
 
 
 def learning_curve(graph_for, dataset, model_specs, train_sizes, seeds, n_val=30):
@@ -433,13 +406,11 @@ def learning_curve(graph_for, dataset, model_specs, train_sizes, seeds, n_val=30
                 if spec.architecture in md.NODE_LEVEL:
                     if g is None:
                         g = graph_for()
-                    cells.append(run_node_experiment(
-                        spec.architecture, g, size, n_val, seed,
-                        spec=md.ModelSpec(**{**spec.__dict__})))
+                    cells.append(run_node_experiment(spec.architecture, g, size, n_val,
+                                                     seed, spec=replace(spec)))
                 else:
-                    cells.append(run_baseline_experiment(
-                        spec.architecture, dataset, size, n_val, seed,
-                        spec=md.ModelSpec(**{**spec.__dict__})))
+                    cells.append(run_baseline_experiment(spec.architecture, dataset, size,
+                                                         n_val, seed, spec=replace(spec)))
             accs.append(float(np.mean(cells)))
         results[name] = accs
     return {"sizes": sizes, "results": results}

@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .graph import DENSE_CAP, Graph, GraphError, mean_propagation, sym_propagation
 from .models import GaeModel, default_spec
-from .optim import make_optimizer
+from .optim import fit
 
 # elements of the (rows, N, d) difference block one KNN chunk may form
 KNN_CHUNK_ELEMENTS = 2_000_000
@@ -163,18 +163,14 @@ def train_gae_on_graph(features, g, spec=None, rng_seed=None):
         raise GraphError(f"GAE's dense N x N decoder refused for n={g.n} > {DENSE_CAP}")
     x = Tensor(standardize(features))
     model = GaeModel(x.shape[1], spec)
-    opt = make_optimizer(spec.optimizer, model.params, spec.lr)
     # the first layer's S x, constant across epochs; D^-1 A has A's ones as its pattern
     sx = ad.propagate(sym_propagation(g), x)
     pattern = mean_propagation(g)
-    trace = []
-    for _ in range(spec.epochs):
-        loss = ad.inner_product_bce(model.encode(x, g, sx=sx), pattern)
-        if not np.isfinite(loss.data):
-            raise RuntimeError(f"GAE training diverged at epoch {len(trace)}")
-        trace.append(loss.item())
-        loss.backward()
-        opt.step()
+
+    def steps(epoch):
+        yield ad.inner_product_bce(model.encode(x, g, sx=sx), pattern), 1, None
+
+    trace = fit(model, spec, steps)
     with ad.no_grad():
         recon = model.forward(x, g)
     return recon.data, model, trace

@@ -1,4 +1,4 @@
-"""Adam and RMSProp parameter updates."""
+"""Adam and RMSProp parameter updates, and `fit`, the one training loop."""
 
 from __future__ import annotations
 
@@ -6,6 +6,10 @@ import numpy as np
 
 
 class MissingGradient(RuntimeError):
+    pass
+
+
+class DivergenceError(RuntimeError):
     pass
 
 
@@ -77,3 +81,40 @@ def make_optimizer(kind, params, lr):
     if kind == "rmsprop":
         return RMSProp(params, lr)
     raise ValueError(f"unknown optimizer kind {kind!r}")
+
+
+def fit(model, spec, steps, score=None):
+    """Train model.params for spec.epochs epochs; returns the per-epoch loss trace.
+
+    `steps(epoch)` yields `(loss, weight, acc)` per optimizer step: the loss
+    Tensor, its weight in the epoch's weighted-mean trace entry, and the
+    validation accuracy of the parameters before the step, or None.
+    `score()` gives the validation accuracy after an epoch's steps.  The
+    parameters of the latest epoch with the best accuracy are restored; a
+    non-finite loss raises DivergenceError.
+    """
+    opt = make_optimizer(spec.optimizer, model.params, spec.lr)
+    trace, best, best_acc = [], None, -1.0
+
+    def consider(acc):
+        nonlocal best, best_acc
+        if acc is not None and acc >= best_acc:
+            best, best_acc = [p.data.copy() for p in model.params], acc
+
+    for epoch in range(spec.epochs):
+        total = weight = 0.0
+        for loss, w, acc in steps(epoch):
+            if not np.isfinite(loss.data):
+                raise DivergenceError(f"non-finite loss at epoch {epoch}")
+            total += loss.item() * w
+            weight += w
+            consider(acc)
+            loss.backward()
+            opt.step()
+        trace.append(total / weight)
+        if score is not None:
+            consider(score())
+    if best is not None:
+        for p, data in zip(model.params, best):
+            p.data = data
+    return trace

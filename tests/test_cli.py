@@ -24,6 +24,16 @@ def dataset_dir(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def series_dir(tmp_path_factory):
+    """Small (B, T, C) time-series dataset on disk."""
+    spec = fg.ProcessSpec(channels=2, horizon=32)
+    plan = [("normal", None, 10), ("fault", fg.FaultSpec("step", 2.0, channels=(0,)), 10)]
+    path = tmp_path_factory.mktemp("data") / "series"
+    fg.save_dataset(fg.generate_dataset(spec, plan, 3), path)
+    return path
+
+
 def run(argv):
     return cli.main([str(a) for a in argv])
 
@@ -228,6 +238,37 @@ class TestCurve:
         first = read_tree(out)
         assert run(args) == 0
         assert read_tree(out) == first
+
+
+class TestModelNames:
+    CLASSIFIERS = "gcn, gat, graphsage, stgcn, mlp, cnn1d, knn-classifier"
+
+    @pytest.mark.parametrize("command", ["train", "curve"])
+    @pytest.mark.parametrize("model", ["gae", "mlp,gnc"])
+    def test_unknown_model_rejected_before_loading_data(self, command, model, tmp_path,
+                                                        capsys):
+        code = run([command, "--dataset", tmp_path / "missing", "--model", model,
+                    "--out", tmp_path / "o"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown model" in err and f"known: {self.CLASSIFIERS}" in err
+
+    def test_curve_trains_stgcn(self, series_dir, tmp_path):
+        out = tmp_path / "c"
+        code = run(["curve", "--dataset", series_dir, "--model", "stgcn,cnn1d",
+                    "--sizes", "6", "--seeds", "0", "--val-size", "4",
+                    "--epochs", "2", "--out", out])
+        assert code == 0
+        lines = (out / "learning_curve.csv").read_text().strip().split("\n")
+        assert lines[0] == "train_size,stgcn,cnn1d"
+        assert len(lines) == 2
+
+    def test_curve_rejects_sensor_graph_from_test(self, series_dir, tmp_path, capsys):
+        code = run(["curve", "--dataset", series_dir, "--model", "stgcn",
+                    "--sizes", "6", "--seeds", "0", "--val-size", "4", "--epochs", "2",
+                    "--sensor-graph-from-test", "--out", tmp_path / "c"])
+        assert code == cli.EXIT_CONFIG
+        assert "--sensor-graph-from-test" in capsys.readouterr().err
 
 
 class TestSeedsAndConfig:

@@ -21,6 +21,21 @@ def clustered_graph(rng, n_per=15, n_classes=3, sep=6.0):
     return gb.knn_graph(f, 4, labels=y)
 
 
+def post_step_val_accuracies(monkeypatch, cls, labels, n_val):
+    """Record the validation accuracy of every forward over n_val samples."""
+    accs = []
+    forward = cls.forward
+
+    def recorded(model, x):
+        out = forward(model, x)
+        if len(x) == n_val:
+            accs.append(float((out.data.argmax(axis=1) == labels).mean()))
+        return out
+
+    monkeypatch.setattr(cls, "forward", recorded)
+    return accs
+
+
 class TestSplit:
     def test_sizes_and_disjointness(self):
         rng = np.random.default_rng(0)
@@ -166,6 +181,22 @@ class TestSensorGraph:
         g = dg.correlation_sensor_graph(x, threshold=0.9)
         assert g.n_edges == 1
 
+    @pytest.mark.parametrize("threshold", [0.0, 0.1, 0.3, 0.6])
+    def test_edges_match_the_pair_loop(self, threshold):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3, 30, 7))
+        x[:, :, 4] += x[:, :, 0]
+        x[:, :, 6] -= 0.5 * x[:, :, 2]
+        r = np.corrcoef(x.reshape(-1, 7), rowvar=False)
+        pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)
+                 if abs(r[i, j]) >= threshold]
+        g = dg.correlation_sensor_graph(x, threshold)
+        assert g.edges.tobytes() == np.asarray(pairs, dtype=np.intp).tobytes()
+
+    def test_single_channel_has_no_edge(self):
+        x = np.random.default_rng(9).normal(size=(4, 20, 1))
+        assert dg.correlation_sensor_graph(x, threshold=0.0).n_edges == 0
+
 
 class TestTrainGraphLevel:
     def make_dataset(self):
@@ -199,6 +230,21 @@ class TestTrainGraphLevel:
             dg.train_graph_level(ds, masks, md.default_spec("stgcn", epochs=1),
                                  sensor_graph_source="validation")
 
+    def test_restored_model_scores_best_validation_accuracy(self, monkeypatch):
+        spec = fg.ProcessSpec(channels=3, horizon=48, noise_std=0.3)
+        plan = [("normal", None, 12),
+                ("fault", fg.FaultSpec("step", 0.4, 0.25, (1,)), 12)]
+        ds = fg.generate_dataset(spec, plan, 11)
+        masks = dg.split(ds.labels, dg.SplitSpec(12, 5, seed=0))
+        val = ds.labels[masks["val"]]
+        accs = post_step_val_accuracies(monkeypatch, md.StgcnModel, val, 5)
+        model, _, (mean, std) = dg.train_graph_level(
+            ds, masks, md.default_spec("stgcn", epochs=8, lr=0.02, seed=1))
+        best = max(accs)
+        assert accs[-1] < best              # the restore is not a no-op
+        pred = model.forward((ds.samples[masks["val"]] - mean) / std).data.argmax(axis=1)
+        assert float((pred == val).mean()) == best
+
     def test_deterministic(self):
         ds = self.make_dataset()
         masks = dg.split(ds.labels, dg.SplitSpec(10, 4, seed=0))
@@ -227,11 +273,68 @@ class TestBaselineTraining:
         acc = dg.run_baseline_experiment(arch, ds, 24, 6, seed=0, spec=spec)
         assert acc >= 0.9
 
+    def test_restored_model_scores_best_validation_accuracy(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        y = np.repeat(np.arange(3), 20)
+        ds = fg.Dataset(samples=rng.normal(size=(60, 6)) + y[:, None], labels=y,
+                        class_names=["a", "b", "c"])
+        masks = dg.split(ds.labels, dg.SplitSpec(24, 6, seed=0))
+        val = ds.labels[masks["val"]]
+        accs = post_step_val_accuracies(monkeypatch, md.MlpModel, val, 6)
+        model, _, inputs = dg.train_baseline(ds, masks,
+                                             md.default_spec("mlp", epochs=10, lr=0.05))
+        best = max(accs)
+        assert accs[-1] < best              # the restore is not a no-op
+        pred = model.forward(inputs[masks["val"]]).data.argmax(axis=1)
+        assert float((pred == val).mean()) == best
+
     def test_cnn_requires_timeseries(self):
         ds = self.make_dataset()
         masks = dg.split(ds.labels, dg.SplitSpec(10, 5, seed=0))
         with pytest.raises(ValueError):
             dg.train_baseline(ds, masks, md.default_spec("cnn1d", epochs=1))
+
+
+def with_nan(x):
+    x = np.array(x, dtype=float)
+    x[:, 0] = np.nan
+    return x
+
+
+def diverge_node_level():
+    g = clustered_graph(np.random.default_rng(0))
+    masks = dg.split(g.labels, dg.SplitSpec(15, 9, seed=0))
+    dg.train_node_level("gcn", g.with_data(features=with_nan(g.features)), masks,
+                        TestTrainNodeLevel().spec("gcn"))
+
+
+def diverge_graph_level():
+    ds = TestTrainGraphLevel().make_dataset()
+    bad = fg.Dataset(samples=with_nan(ds.samples), labels=ds.labels,
+                     class_names=ds.class_names)
+    masks = dg.split(ds.labels, dg.SplitSpec(12, 4, seed=0))
+    dg.train_graph_level(bad, masks, md.default_spec("stgcn", epochs=2))
+
+
+def diverge_baseline():
+    ds = TestBaselineTraining().make_dataset()
+    bad = fg.Dataset(samples=with_nan(ds.samples), labels=ds.labels,
+                     class_names=ds.class_names)
+    masks = dg.split(ds.labels, dg.SplitSpec(24, 6, seed=0))
+    dg.train_baseline(bad, masks, md.default_spec("mlp", epochs=2))
+
+
+def diverge_gae():
+    g = clustered_graph(np.random.default_rng(0))
+    gb.train_gae_on_graph(with_nan(g.features), g, md.default_spec("gae", epochs=2))
+
+
+@pytest.mark.parametrize("train", [diverge_node_level, diverge_graph_level,
+                                   diverge_baseline, diverge_gae])
+def test_nan_input_diverges_at_epoch_zero(train):
+    # every training loop is optim.fit, so all four raise the one error type
+    with pytest.raises(dg.DivergenceError, match="non-finite loss at epoch 0"):
+        train()
 
 
 class TestEvaluation:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from graphdiag import autodiff as ad
 from graphdiag import optim
 from graphdiag.autodiff import Parameter
+from graphdiag.models import ModelSpec
 
 
 def make_param(values):
@@ -90,3 +92,72 @@ class TestFactory:
         assert isinstance(optim.make_optimizer("RMSProp", p, 0.1), optim.RMSProp)
         with pytest.raises(ValueError):
             optim.make_optimizer("sgd", p, 0.1)
+
+
+class Scalar:
+    """A one-parameter model whose loss is p^2."""
+
+    def __init__(self):
+        self.params = [make_param([3.0])]
+
+    def loss(self):
+        return ad.sum_(ad.mul(self.params[0], self.params[0]))
+
+
+def spec(epochs):
+    return ModelSpec("scripted", epochs=epochs, lr=0.1, optimizer="adam")
+
+
+class TestFit:
+    def test_post_step_score_restores_latest_of_tied_best_epochs(self):
+        model, scores, after = Scalar(), iter([0.5, 0.8, 0.8, 0.6]), []
+
+        def score():
+            after.append(model.params[0].data.copy())
+            return next(scores)
+
+        def steps(epoch):
+            yield model.loss(), 1, None
+
+        optim.fit(model, spec(4), steps, score)
+        # epochs 1 and 2 tie at 0.8; the latest of them wins
+        assert np.array_equal(model.params[0].data, after[2])
+
+    def test_pre_step_accuracy_restores_latest_of_tied_best_epochs(self):
+        model, accs, before = Scalar(), [0.3, 0.9, 0.9, 0.1], []
+
+        def steps(epoch):
+            before.append(model.params[0].data.copy())
+            yield model.loss(), 1, accs[epoch]
+
+        optim.fit(model, spec(4), steps)
+        assert np.array_equal(model.params[0].data, before[2])
+
+    def test_no_accuracy_keeps_the_trained_parameters(self):
+        model, trained = Scalar(), Scalar()
+        optim.fit(model, spec(3), lambda epoch: iter([(model.loss(), 1, None)]))
+        opt = optim.Adam(trained.params, 0.1)
+        for _ in range(3):
+            trained.loss().backward()
+            opt.step()
+        assert np.array_equal(model.params[0].data, trained.params[0].data)
+
+    def test_trace_is_the_weighted_mean_of_step_losses(self):
+        model = Scalar()
+        losses = []
+
+        def steps(epoch):
+            for weight in (3, 1):
+                loss = model.loss()
+                losses.append(loss.item())
+                yield loss, weight, None
+
+        trace = optim.fit(model, spec(2), steps)
+        assert trace == [(0.0 + losses[0] * 3 + losses[1]) / 4,
+                         (0.0 + losses[2] * 3 + losses[3]) / 4]
+
+    def test_non_finite_loss_raises_divergence_error(self):
+        model = Scalar()
+        model.params[0].data[0] = np.nan
+        with pytest.raises(optim.DivergenceError, match="at epoch 0"):
+            optim.fit(model, spec(3), lambda epoch: iter([(model.loss(), 1, None)]))
