@@ -4,7 +4,8 @@ A first-order vector autoregression driven by per-channel sinusoids and
 white noise stands in for the unavailable benchmark rigs.  Faults are
 injected additively: a step offset, a ramp proportional to time, or extra
 random variation, each scaled in units of the channel's nominal standard
-deviation.
+deviation.  The samples of one class are simulated as one batch, each from
+its own seeded stream, with the bytes of one-at-a-time simulation.
 """
 
 from __future__ import annotations
@@ -75,25 +76,40 @@ class FaultSpec:
 BURN_IN_FRACTION = 4 / 16  # of the horizon, discarded before the kept window
 
 
-def simulate_nominal(spec, seed):
-    """One (T, C) fault-free sample; deterministic per (spec, seed)."""
-    rng = np.random.default_rng(seed)
+def simulate_nominal_batch(spec, seeds):
+    """(B, T, C) fault-free samples, one per seed; sample i depends on (spec, seeds[i]) only.
+
+    Each sample draws its drive phases and then its noise from its own
+    default_rng(seed) stream.  The recurrence x_t = A x_{t-1} + drive_t +
+    noise_t steps the whole batch at once: matmul over a trailing unit axis
+    runs one matrix-vector product per sample, so every value has the bytes
+    of the one-sample `A @ x`.  (A (B, C) @ A.T GEMM rounds otherwise.)
+    """
     t_total = spec.horizon + int(BURN_IN_FRACTION * spec.horizon)
     c = spec.channels
     a = np.asarray(spec.coupling)
     amp = np.asarray(spec.drive_amplitudes)
     freq = np.asarray(spec.drive_frequencies)
-    phase = rng.uniform(0, 2 * np.pi, size=c)
     tt = np.arange(t_total)[:, None]
-    drive = amp * np.sin(2 * np.pi * freq * tt / spec.horizon + phase)
-    noise = rng.normal(0.0, spec.noise_std, size=(t_total, c)) if spec.noise_std > 0 \
-        else np.zeros((t_total, c))
-    x = np.zeros((t_total, c))
-    prev = np.zeros(c)
+    drive = np.empty((len(seeds), t_total, c))
+    noise = np.zeros((len(seeds), t_total, c))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        phase = rng.uniform(0, 2 * np.pi, size=c)
+        drive[i] = amp * np.sin(2 * np.pi * freq * tt / spec.horizon + phase)
+        if spec.noise_std > 0:
+            noise[i] = rng.normal(0.0, spec.noise_std, size=(t_total, c))
+    x = np.empty((len(seeds), t_total, c))
+    prev = np.zeros((len(seeds), c))
     for t in range(t_total):
-        prev = a @ prev + drive[t] + noise[t]
-        x[t] = prev
-    return x[t_total - spec.horizon:]
+        prev = np.matmul(a, prev[:, :, None])[:, :, 0] + drive[:, t] + noise[:, t]
+        x[:, t] = prev
+    return x[:, t_total - spec.horizon:]
+
+
+def simulate_nominal(spec, seed):
+    """One (T, C) fault-free sample; deterministic per (spec, seed)."""
+    return simulate_nominal_batch(spec, [seed])[0]
 
 
 def nominal_channel_std(spec):
@@ -175,8 +191,9 @@ def generate_dataset(spec, class_plan, seed):
     for label, (name, fspec, count) in enumerate(class_plan):
         if count <= 0:
             raise ValueError(f"class {name!r} has non-positive count {count}")
-        for i in range(count):
-            s = simulate_nominal(spec, seed_stream(seed, f"{name}/{i}/nominal"))
+        nominal = simulate_nominal_batch(
+            spec, [seed_stream(seed, f"{name}/{i}/nominal") for i in range(count)])
+        for i, s in enumerate(nominal):
             if fspec is not None:
                 s = inject(s, fspec, channel_std, seed_stream(seed, f"{name}/{i}/fault"))
             samples.append(s)

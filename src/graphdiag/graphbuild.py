@@ -18,8 +18,10 @@ from .graph import DENSE_CAP, Graph, GraphError, mean_propagation, sym_propagati
 from .models import GaeModel, default_spec
 from .optim import fit
 
-# elements of the (rows, N, d) difference block one KNN chunk may form
+# elements of each (rows, N) or (rows, candidates, d) array one KNN block may form
 KNN_CHUNK_ELEMENTS = 2_000_000
+# candidates beyond K that a KNN row re-ranks exactly before it widens
+KNN_CANDIDATE_MARGIN = 16
 FEATURES_PER_CHANNEL = 12
 # samples per block of extract_feature_matrix
 FEATURE_CHUNK = 128
@@ -109,21 +111,100 @@ def standardize(features):
 def nearest_neighbor_table(features, k):
     """N x K matrix of nearest-neighbor indices, distance-sorted ascending.
 
-    Ties break toward the lower index; a point never lists itself.
+    Ties break toward the lower index; a point never lists itself.  The
+    table is that of a stable argsort of the squared distances
+    ((f_i - f_j)^2).sum(-1), byte for byte; nearest_indices finds it
+    without forming every (i, j) difference.
     """
     f = np.asarray(features, dtype=np.float64)
     n = len(f)
     if not 1 <= k < n:
         raise ValueError(f"K={k} out of range for N={n}")
-    table = np.empty((n, k), dtype=np.intp)
-    chunk = max(1, KNN_CHUNK_ELEMENTS // (n * max(1, f.shape[1])))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        diff = f[start:stop, None, :] - f[None, :, :]
-        d2 = (diff * diff).sum(axis=2)
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        # stable argsort breaks distance ties toward the lower index
-        table[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return nearest_indices(f, f, k, exclude_self=True)
+
+
+def nearest_indices(queries, points, k, *, exclude_self=False):
+    """Indices of the k points nearest each query, in stable (distance, index) order.
+
+    Exact brute force in the scheme of FAISS (Johnson, Douze and Jegou, 2017).
+    For a block of query rows, one GEMM gives the approximate squared
+    distances |a|^2 + |b|^2 - 2 a.b, and argpartition keeps the c = k +
+    KNN_CANDIDATE_MARGIN smallest as candidates.  Their distances are
+    recomputed as ((a - b)^2).sum(-1), the expression whose stable argsort
+    defines the answer, and sorted by (distance, index).  With exclude_self,
+    queries are the points and query i never lists point i.
+
+    A row is accepted only if no point outside its candidates can rank among
+    its k: if m, the least approximate distance outside, satisfies
+    m - delta > the k-th exact distance.  Rows that fail repeat with c
+    doubled; once c covers every eligible point there is no outside and the
+    test passes, so every row ends exact.
+
+    The bound delta.  With u = 2^-53, gamma_n = n u / (1 - n u), d columns and
+    X = (|a| + max |b|)^2, which bounds both sum (a - b)^2 and
+    |a|^2 + |b|^2 + 2 sum |a b|:
+    - the exact expression rounds each difference and each square, a factor
+      within gamma_3 per term, then adds d non-negative terms with d - 1
+      roundings, so it is within gamma_{d+2} X of the true distance;
+    - the GEMM's a.b and the two squared norms are sums of d products, each
+      within gamma_d of the sum of its terms' magnitudes in any summation
+      order, and adding the three rounds twice more, so the approximate
+      distance is within gamma_d X + gamma_2 (1 + gamma_d) X <= gamma_{d+2} X.
+    So the exact distance of any point outside is at least m - delta, with
+    delta = 2 gamma_{d+2} X.  Evaluating delta and the test's subtraction
+    rounds by a further O(u X).  delta is not padded for it: the two bounds
+    assume every rounding of both sums falls the same way, so the real error
+    stays far inside them.
+
+    Every block keeps each of its (rows, N) and (rows, c, d) arrays within
+    KNN_CHUNK_ELEMENTS elements, and the two kinds are never alive together.
+    """
+    q = np.asarray(queries, dtype=np.float64)
+    p = np.asarray(points, dtype=np.float64)
+    n, d = p.shape
+    eligible = n - 1 if exclude_self else n
+    q_sq = np.einsum("ij,ij->i", q, q)
+    p_sq = q_sq if exclude_self else np.einsum("ij,ij->i", p, p)
+    u = np.finfo(np.float64).eps / 2
+    gamma = (d + 2) * u / (1 - (d + 2) * u)
+    delta = 2 * gamma * (np.sqrt(q_sq) + np.sqrt(p_sq.max())) ** 2
+    table = np.empty((len(q), k), dtype=np.intp)
+    pending = np.arange(len(q))
+    c = min(k + KNN_CANDIDATE_MARGIN, eligible)
+    while len(pending):
+        rows = max(1, KNN_CHUNK_ELEMENTS // max(n, c * d))
+        failed = []
+        for start in range(0, len(pending), rows):
+            ids = pending[start:start + rows]
+            r = np.arange(len(ids))
+            approx = q[ids] @ p.T
+            approx *= -2.0
+            approx += q_sq[ids, None]
+            approx += p_sq
+            if exclude_self:
+                approx[r, ids] = np.inf
+            if c < n:
+                # [:, :c] the c least, [:, c] the least outside them
+                part = np.argpartition(approx, c, axis=1)
+                cand, outside = part[:, :c].copy(), approx[r, part[:, c]]
+                del part
+            else:
+                cand = np.broadcast_to(np.arange(n), (len(ids), n))
+                outside = np.full(len(ids), np.inf)
+            del approx
+            diff = p[cand]
+            np.subtract(q[ids, None, :], diff, out=diff)
+            diff *= diff
+            exact = diff.sum(axis=2)
+            del diff
+            order = np.lexsort((cand, exact), axis=1)
+            ranked = np.take_along_axis(cand, order[:, :k], axis=1)
+            kth = exact[r, order[:, k - 1]]
+            ok = outside - delta[ids] > kth
+            table[ids[ok]] = ranked[ok]
+            failed.append(ids[~ok])
+        pending = np.concatenate(failed)
+        c = min(2 * c, eligible)
     return table
 
 
@@ -146,11 +227,9 @@ def prior_partition_graph(assignment, features=None, labels=None):
     pairs = []
     for cluster in np.unique(a):
         members = np.flatnonzero(a == cluster)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.append((members[i], members[j]))
-    return Graph(len(a), np.asarray(pairs, dtype=np.intp).reshape(-1, 2),
-                 features=features, labels=labels)
+        i, j = np.triu_indices(len(members), 1)
+        pairs.append(np.stack([members[i], members[j]], axis=1))
+    return Graph(len(a), np.concatenate(pairs), features=features, labels=labels)
 
 
 def train_gae_on_graph(features, g, spec=None, rng_seed=None):

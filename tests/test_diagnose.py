@@ -496,6 +496,24 @@ def test_temporal_kernels_do_not_depend_on_blas_thread_count():
     assert digests[0] == digests[1]
 
 
+# A preset's samples and the KNN table over its standardized features,
+# hashed.  The GEMM's approximate distances may round otherwise on two
+# threads; the exact re-rank must leave the table unchanged.
+SETUP_SCRIPT = """
+import hashlib
+from graphdiag import faultgen as fg, graphbuild as gb
+ds = fg.generate_preset("rectifier-like", 0)
+table = gb.nearest_neighbor_table(gb.standardize(gb.extract_feature_matrix(ds.samples)), 45)
+print(hashlib.sha256(ds.samples.tobytes() + table.tobytes()).hexdigest())
+"""
+
+
+@needs_two_cpus
+def test_dataset_and_knn_table_do_not_depend_on_blas_thread_count():
+    digests = digests_by_blas_threads(SETUP_SCRIPT)
+    assert digests[0] == digests[1]
+
+
 # An STGCN fit and its test logits, then a GCN forward and the gradient of
 # its loss with respect to the input, hashed.  The GCN's weight gradients are
 # left out: matmul's a.T @ g over the graph's 1067 rows gives gc.theta and

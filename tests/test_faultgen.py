@@ -69,6 +69,72 @@ class TestSimulation:
         assert std.min() > 0.0
 
 
+def loop_simulate(spec, seed):
+    """The per-sample recurrence, one `a @ prev` per time step."""
+    rng = np.random.default_rng(seed)
+    t_total = spec.horizon + int(fg.BURN_IN_FRACTION * spec.horizon)
+    c = spec.channels
+    a = np.asarray(spec.coupling)
+    phase = rng.uniform(0, 2 * np.pi, size=c)
+    tt = np.arange(t_total)[:, None]
+    drive = np.asarray(spec.drive_amplitudes) * np.sin(
+        2 * np.pi * np.asarray(spec.drive_frequencies) * tt / spec.horizon + phase)
+    noise = rng.normal(0.0, spec.noise_std, size=(t_total, c)) if spec.noise_std > 0 \
+        else np.zeros((t_total, c))
+    x = np.zeros((t_total, c))
+    prev = np.zeros(c)
+    for t in range(t_total):
+        prev = a @ prev + drive[t] + noise[t]
+        x[t] = prev
+    return x[t_total - spec.horizon:]
+
+
+def loop_batch(spec, seeds):
+    return np.stack([loop_simulate(spec, s) for s in seeds])
+
+
+PRESET_SPECS = {name: plan()[0] for name, plan in fg.PRESETS.items()}
+
+
+class TestBatchSimulation:
+    @pytest.mark.parametrize("preset", sorted(PRESET_SPECS))
+    @pytest.mark.parametrize("count", [1, 178])
+    def test_batch_bytes_match_per_sample_loop(self, preset, count):
+        spec = PRESET_SPECS[preset]
+        seeds = [fg.seed_stream(3, f"normal/{i}/nominal") for i in range(count)]
+        got = fg.simulate_nominal_batch(spec, seeds)
+        assert got.shape == (count, spec.horizon, spec.channels)
+        assert got.tobytes() == loop_batch(spec, seeds).tobytes()
+
+    def test_noise_free_batch_matches_loop(self):
+        spec = fg.ProcessSpec(channels=3, horizon=200, noise_std=0.0)
+        seeds = [0, 1, 7, 104]
+        assert fg.simulate_nominal_batch(spec, seeds).tobytes() == \
+            loop_batch(spec, seeds).tobytes()
+
+    def test_one_sample_case(self):
+        spec = PRESET_SPECS["tep-like"]
+        assert fg.simulate_nominal(spec, 151).tobytes() == \
+            fg.simulate_nominal_batch(spec, [5, 151])[1].tobytes()
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_SPECS))
+    def test_channel_std_run_matches_loop(self, preset, monkeypatch):
+        # the 4096-step reference run that scales fault magnitudes
+        spec = PRESET_SPECS[preset]
+        want = fg.nominal_channel_std(spec)
+        monkeypatch.setattr(fg, "simulate_nominal_batch", loop_batch)
+        assert want.tobytes() == fg.nominal_channel_std(spec).tobytes()
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_SPECS))
+    def test_generate_preset_matches_per_sample_loop(self, preset, monkeypatch):
+        got = fg.generate_preset(preset, 7)
+        monkeypatch.setattr(fg, "simulate_nominal_batch", loop_batch)
+        want = fg.generate_preset(preset, 7)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+        assert got.manifest == want.manifest
+
+
 class TestInjection:
     def setup_method(self):
         self.spec = fg.ProcessSpec(channels=3, horizon=200, noise_std=0.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,53 @@ class TestKnnGraph:
             assert np.array_equal(gb.nearest_neighbor_table(f, 4),
                                   loops_neighbor_table(f, 4))
 
+    @pytest.mark.parametrize("case", ["pruned", "duplicated rows", "exact ties",
+                                      "constant columns"])
+    def test_hard_cases_match_loop_oracle(self, case):
+        rng = np.random.default_rng(12)
+        f, ks = {
+            # n far above k + KNN_CANDIDATE_MARGIN, so the GEMM prunes candidates
+            "pruned": lambda: (rng.normal(size=(420, 9)), (5, 45)),
+            "duplicated rows": lambda: (np.tile(rng.normal(size=(210, 6)), (2, 1)), (1, 5, 45)),
+            # one decimal on a small box: many pairs at exactly equal distance
+            "exact ties": lambda: (np.round(rng.uniform(-1, 1, size=(400, 3)), 1), (5, 45)),
+            "constant columns": lambda: (np.column_stack(
+                [np.full(60, 3.0), rng.normal(size=(60, 2)), np.zeros(60)]), (4, 59)),
+        }[case]()
+        for k in ks:
+            assert np.array_equal(gb.nearest_neighbor_table(f, k), loops_neighbor_table(f, k))
+
+    def test_identical_points_widen_candidates(self):
+        # 300 copies of one point: every candidate set of k + margin ties at
+        # distance 0 with the rest, so each row must widen to find the
+        # lowest indices; the outliers rank after all copies
+        rng = np.random.default_rng(16)
+        f = np.concatenate([np.tile(rng.normal(size=(1, 5)), (300, 1)),
+                            rng.normal(size=(6, 5)) + 10.0])
+        table = gb.nearest_neighbor_table(f, 5)
+        assert np.array_equal(table, loops_neighbor_table(f, 5))
+        assert table[299].tolist() == [0, 1, 2, 3, 4]
+
+    def test_queries_without_self_exclusion(self):
+        rng = np.random.default_rng(17)
+        points = np.concatenate([np.zeros((40, 3)), np.round(rng.normal(size=(30, 3)), 1)])
+        queries = np.concatenate([np.zeros((3, 3)), np.round(rng.normal(size=(20, 3)), 1)])
+        d2 = ((queries[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        want = np.argsort(d2, axis=1, kind="stable")
+        for k in (1, 5, 70):
+            assert np.array_equal(gb.nearest_indices(queries, points, k), want[:, :k])
+
+    def test_table_memory_is_bounded(self):
+        f = np.random.default_rng(18).normal(size=(3000, 72))
+        tracemalloc.start()
+        try:
+            gb.nearest_neighbor_table(f, 45)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two budget-sized arrays at a time, and the 1 MB (3000, 45) table
+        assert peak < 2 * 8 * gb.KNN_CHUNK_ELEMENTS + 2 * 1024 * 1024
+
     def test_edge_count_bounds(self):
         rng = np.random.default_rng(4)
         f = rng.normal(size=(40, 3))
@@ -196,6 +245,12 @@ class TestPriorPartitionGraph:
     def test_empty_assignment(self):
         with pytest.raises(ValueError):
             gb.prior_partition_graph([])
+
+    def test_edges_match_pair_loop(self):
+        a = np.random.default_rng(19).integers(0, 4, size=30)
+        a[7] = 9                                  # a one-member cluster
+        want = [[i, j] for i in range(30) for j in range(i + 1, 30) if a[i] == a[j]]
+        assert gb.prior_partition_graph(a).edges.tolist() == want
 
 
 class TestSmoothness:
