@@ -8,10 +8,11 @@ through a constant sparse graph operator, pointwise nonlinearities, edge-list
 gather / scatter / segment ops, GAT attention as one fused op (gat_aggregate:
 scores, segment softmax and weighted neighbour sum, with a hand-written
 backward), 1-d convolution (conv1d: per-tap GEMMs over cache-sized row
-blocks of the batch, broadcast products when Fin == 1) and max pooling
-(maxpool1d: a running maximum that keeps no index array; the backward finds
-the first argmax from the input), both with the bytes of the plain per-tap
-and argmax loops, and the losses:
+blocks of the batch, broadcast products when Fin == 1, and an optional bias
+and ReLU applied to each block in cache, so a conv layer is one node that
+keeps one array) and max pooling (maxpool1d: a running maximum that keeps
+no index array; the backward finds the first argmax from the input), both
+with the bytes of the plain per-tap and argmax loops, and the losses:
 cross-entropy, binary cross-entropy over a matrix of probabilities
 (bce_matrix), the GAE inner-product decoder's binary cross-entropy taken
 from the embedding Z in row blocks, so GAE training forms no N x N array
@@ -348,7 +349,7 @@ def mean_(a, axis=None, keepdims=False):
 CONV_BLOCK_ELEMENTS = 32768
 
 
-def conv1d(signal, kernel, stride=1):
+def conv1d(signal, kernel, stride=1, bias=None, relu=False):
     """Valid cross-correlation.  signal: (B, T, Fin), kernel: (K, Fin, Fout).
 
     Each output element is summed as 0 + tap 0 + tap 1 + ..., where tap k is
@@ -360,6 +361,14 @@ def conv1d(signal, kernel, stride=1):
     either way).  With Fin == 1 a tap is a broadcast product, summed in a
     feature-major block (inner loops of length Tout).  The backward blocks dx
     the same way; dw is one GEMM per tap.
+
+    An optional epilogue runs on each block while it is still in cache: add
+    `bias` (Fout,), then, with `relu`, multiply by (out > 0).  These are the
+    expressions of relu(add(conv1d(x, w), bias)), so the bytes are that
+    composition's, signed zeros and NaNs included, but one array is kept in
+    place of four.  The backward recomputes the ReLU mask as out > 0, which
+    holds exactly where the sum before the ReLU is > 0, and sums dbias over
+    the batch, then time, as add's backward does.
     """
     x, w = _as_tensor(signal), _as_tensor(kernel)
     if x.ndim != 3 or w.ndim != 3:
@@ -370,9 +379,22 @@ def conv1d(signal, kernel, stride=1):
     K, _, Fout = w.data.shape
     if T < K:
         raise ShapeError(f"conv1d signal length {T} shorter than kernel {K}")
+    parents = (x, w)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.data.shape != (Fout,):
+            raise ShapeError(f"conv1d bias must be ({Fout},), got {bias.data.shape}")
+        parents = (x, w, bias)
     Tout = (T - K) // stride + 1
     span = stride * Tout
     rows = max(1, CONV_BLOCK_ELEMENTS // max(1, Tout * Fout))
+
+    def epilogue(ob):
+        if bias is not None:
+            ob += bias.data
+        if relu:
+            np.multiply(ob, ob > 0, out=ob)
+
     if Fin == 1:
         out = np.empty((B, Tout, Fout))
         xs = x.data[:, :, 0]
@@ -386,16 +408,22 @@ def conv1d(signal, kernel, stride=1):
             for k in range(1, K):
                 np.multiply(xs[a:b, None, k:k + span:stride], wk[k], out=tp)
                 ac += tp
-            # + 0.0 turns a -0.0 sum into the +0.0 of a sum started at 0
+            # + 0.0 turns a -0.0 sum into the +0.0 of a sum started at 0; it
+            # comes before the bias, as (-0.0 + 0.0) + -0.0 is +0.0 but
+            # -0.0 + -0.0 is -0.0
             np.add(ac.transpose(0, 2, 1), 0.0, out=out[a:b])
+            epilogue(out[a:b])
     else:
         out = np.zeros((B, Tout, Fout))
         for a in range(0, B, rows):
             ob, xb = out[a:a + rows], x.data[a:a + rows]
             for k in range(K):
                 ob += xb[:, k:k + span:stride] @ w.data[k]
+            epilogue(ob)
 
     def backward(g):
+        if relu:
+            g = g * (out > 0)
         dx = np.zeros_like(x.data)
         dw = np.empty_like(w.data)
         g2 = g.reshape(-1, Fout)
@@ -405,9 +433,11 @@ def conv1d(signal, kernel, stride=1):
             gb, dxb = g[a:a + rows], dx[a:a + rows]
             for k in range(K):
                 dxb[:, k:k + span:stride] += gb @ w.data[k].T
-        return dx, dw
+        if bias is None:
+            return dx, dw
+        return dx, dw, g.sum(axis=0).sum(axis=0)
 
-    return _node(out, (x, w), backward)
+    return _node(out, parents, backward)
 
 
 def maxpool1d(signal, window):

@@ -8,7 +8,9 @@ mixing propagate through a sparse normalized adjacency; GAT attention is one
 fused op, `ad.gat_aggregate`, over the cached A + I CSR pattern; the
 GraphSage pool aggregator runs on edge lists.  No layer forms a dense N x N
 matrix; only the GAE decoder's reconstruction `forward` is dense, and GAE
-training takes its loss from Z without it.
+training takes its loss from Z without it.  A 1-d conv layer (GCN's conv
+head, STGCN's temporal blocks, the 1d-CNN) is one `ad.conv1d` call that adds
+its bias and applies its ReLU inside the op, so it keeps one output array.
 """
 
 from __future__ import annotations
@@ -213,7 +215,11 @@ class Dense:
 
 
 class Conv1dLayer:
+    """act(conv1d(x, kernel) + bias), act "relu" or "identity", as one conv1d node."""
+
     def __init__(self, k, c_in, c_out, rng, stride=1, activation="relu", name="conv"):
+        if activation not in ("relu", "identity"):
+            raise ValueError(f"{name}: activation must be 'relu' or 'identity', got {activation!r}")
         self.kernel = Parameter(glorot(rng, (k, c_in, c_out)), name=f"{name}.kernel")
         self.bias = Parameter(np.zeros(c_out), name=f"{name}.bias")
         self.stride = stride
@@ -221,8 +227,7 @@ class Conv1dLayer:
         self.params = [self.kernel, self.bias]
 
     def __call__(self, x):
-        z = ad.add(ad.conv1d(x, self.kernel, self.stride), self.bias)
-        return ad.relu(z) if self.activation == "relu" else z
+        return ad.conv1d(x, self.kernel, self.stride, self.bias, self.activation == "relu")
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,68 @@ class TestTemporalKernelBytes:
         assert peak < out.data.nbytes + 2 * 8 * ad.CONV_BLOCK_ELEMENTS + 256 * 1024
 
 
+class TestConvEpilogue:
+    """conv1d's bias and ReLU against relu(add(conv1d(x, w), b)), byte for byte."""
+
+    @pytest.mark.parametrize("fin, stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_matches_composition(self, fin, stride, relu, with_bias, monkeypatch):
+        T, K, Fout = 40, 5, 8
+        tout = (T - K) // stride + 1
+        monkeypatch.setattr(ad, "CONV_BLOCK_ELEMENTS", 3 * tout * Fout)
+        B = 3 + 3 + 1                       # two full row blocks of 3 and a partial one
+        rng = np.random.default_rng(fin + 10 * stride + 100 * relu + 1000 * with_bias)
+        x = with_specials(rng, (B, T, fin), [0.0, -0.0, np.nan])
+        w = with_specials(rng, (K, fin, Fout), [0.0, -0.0])
+        # output feature 0 of sample 0 starts with sums of -0.0 taps, and its bias is
+        # -0.0: the conv's + 0.0 must come before the bias, (-0.0 + 0.0) + -0.0 = +0.0
+        w[:, :, 0] = np.abs(w[:, :, 0]) + 0.5
+        x[0, :10] = -0.0
+        b = with_specials(rng, (Fout,), [-0.0, -0.5, -1.0]) if with_bias else None
+        if with_bias:
+            b[0] = -0.0
+        fused = [ad.Parameter(a) for a in (x, w, b) if a is not None]
+        plain = [ad.Parameter(a.copy()) for a in (x, w, b) if a is not None]
+        out = ad.conv1d(fused[0], fused[1], stride, fused[2] if with_bias else None, relu)
+        want = ad.conv1d(plain[0], plain[1], stride)
+        if with_bias:
+            want = ad.add(want, plain[2])
+        if relu:
+            want = ad.relu(want)
+        g = with_specials(rng, out.shape, [0.0, -0.0])
+        out.backward(g)
+        want.backward(g)
+        assert out.data.tobytes() == want.data.tobytes()
+        for p, q in zip(fused, plain):
+            assert p.grad.tobytes() == q.grad.tobytes()
+
+    def test_bias_shape_is_checked(self):
+        x, w = ad.Tensor(np.ones((2, 9, 3))), ad.Tensor(np.ones((3, 3, 4)))
+        for shape in [(5,), (1, 4), ()]:
+            with pytest.raises(ad.ShapeError, match="bias"):
+                ad.conv1d(x, w, bias=np.zeros(shape))
+
+    def test_layer_rejects_unknown_activation(self):
+        with pytest.raises(ValueError, match="activation"):
+            md.Conv1dLayer(3, 1, 4, np.random.default_rng(0), activation="tanh")
+
+    def test_layer_keeps_one_output(self):
+        rng = np.random.default_rng(4)
+        layer = md.Conv1dLayer(5, 1, 8, rng, name="t1a")
+        x = ad.Tensor(rng.normal(size=(4096, 256, 1)))
+        tracemalloc.start()
+        try:
+            out = layer(x)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        # relu(add(conv1d(x, w), b)) kept the conv output, the sum with the
+        # bias, the ReLU output and its mask alive: 3.1 outputs of 66 MB
+        assert live < out.data.nbytes + 1024 * 1024
+
+
 class TestBackward:
     def test_leaf_accumulation_reused_operand(self):
         # y = x*x + x uses x three times; dy/dx = 2x + 1
@@ -464,6 +526,15 @@ class TestGradCheck:
             return (lambda: ad.sum_(ad.conv1d(x, k, stride=2))), [x, k]
 
         self.check(build, 2)
+
+    @pytest.mark.parametrize("fin", [1, 3])
+    def test_conv_bias_relu(self, fin):
+        def build(rng):
+            x, k, b = param(rng, 2, 9, fin), param(rng, 3, fin, 4), param(rng, 4)
+            weights = rng.normal(size=(2, 4, 4))
+            return (lambda: ad.sum_(ad.conv1d(x, k, 2, b, relu=True) * weights)), [x, k, b]
+
+        self.check(build, 3)
 
     def test_gather_scatter(self):
         def build(rng):

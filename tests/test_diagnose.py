@@ -496,6 +496,32 @@ def test_temporal_kernels_do_not_depend_on_blas_thread_count():
     assert digests[0] == digests[1]
 
 
+# A Conv1dLayer with a nonzero bias, its output and its input and bias
+# gradients, at STGCN's t1a and t1b shapes, hashed: the fused bias and ReLU
+# read the conv output in row blocks, so they too must not depend on threads.
+CONV_LAYER_SCRIPT = """
+import hashlib
+import numpy as np
+from graphdiag import autodiff as ad, models as md
+rng = np.random.default_rng(0)
+digest = hashlib.sha256()
+for shape, k in (((600, 256, 1), 5), ((600, 126, 8), 3)):
+    layer = md.Conv1dLayer(k, shape[2], 8, rng)
+    layer.bias.data[:] = rng.normal(size=8)
+    x = ad.Parameter(rng.normal(size=shape))
+    y = layer(x)
+    y.backward(rng.normal(size=y.shape))
+    digest.update(y.data.tobytes() + x.grad.tobytes() + layer.bias.grad.tobytes())
+print(digest.hexdigest())
+"""
+
+
+@needs_two_cpus
+def test_conv_layer_does_not_depend_on_blas_thread_count():
+    digests = digests_by_blas_threads(CONV_LAYER_SCRIPT)
+    assert digests[0] == digests[1]
+
+
 # A preset's samples and the KNN table over its standardized features,
 # hashed.  The GEMM's approximate distances may round otherwise on two
 # threads; the exact re-rank must leave the table unchanged.
