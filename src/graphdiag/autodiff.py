@@ -3,22 +3,26 @@
 Every differentiable quantity is a Tensor holding a value array and, after
 backward(), a gradient of the same shape.  Ops are free functions that record
 a closure computing the parent gradients from the output gradient.  The op
-set is what the model layers need: dense linear algebra, propagation
-through a constant sparse graph operator, pointwise nonlinearities, edge-list
-gather / scatter / segment ops, GAT attention as one fused op (gat_aggregate:
-scores, segment softmax and weighted neighbour sum, with a hand-written
-backward), 1-d convolution (conv1d: per-tap GEMMs over cache-sized row
-blocks of the batch, broadcast products when Fin == 1, and an optional bias
-and ReLU applied to each block in cache, so a conv layer is one node that
-keeps one array) and max pooling (maxpool1d: a running maximum that keeps
-no index array; the backward finds the first argmax from the input), both
-with the bytes of the plain per-tap and argmax loops, and the losses:
-cross-entropy, binary cross-entropy over a matrix of probabilities
-(bce_matrix), the GAE inner-product decoder's binary cross-entropy taken
-from the embedding Z in row blocks, so GAE training forms no N x N array
-(inner_product_bce), and mean squared error.  No layer calls leaky_relu,
-exp, segment_sum or repeat_segments since GAT became one op; they stay
-exported because the benchmark's per-layer metrics time them by name.
+set is what the model layers need: dense linear algebra (matmul, with an
+optional bias and ReLU applied to its output in place, so a dense layer is
+one node that keeps one array), propagation through a constant sparse graph
+operator, pointwise nonlinearities, edge-list gather / scatter / segment
+ops, GAT attention as one fused op (gat_aggregate: scores, segment softmax
+and weighted neighbour sum, with a hand-written backward), 1-d convolution
+(conv1d: per-tap GEMMs over cache-sized row blocks of the batch, broadcast
+products when Fin == 1, and an optional bias, ReLU and max pooling applied
+to each block in cache, so a conv layer is one node that keeps one array,
+plus a uint8 argmax offset when it pools) and max pooling (maxpool1d: a
+running maximum that keeps no index array; the backward finds the first
+argmax from the input), both with the bytes of the plain per-tap and argmax
+loops, and the losses: cross-entropy, binary cross-entropy over a matrix of
+probabilities (bce_matrix), the GAE inner-product decoder's binary
+cross-entropy taken from the embedding Z in row blocks, so GAE training
+forms no N x N array (inner_product_bce), and mean squared error.  No layer
+calls leaky_relu, exp, segment_sum, repeat_segments or maxpool1d since GAT
+became one op and conv1d took the pooling; they stay exported because the
+benchmark's per-layer metrics time them by name.  Ops skip the gradient of
+a parent that requires none where it costs a product (matmul, conv1d).
 Inside `with no_grad():` ops record nothing, for forward-only passes.
 """
 
@@ -230,8 +234,16 @@ def neg(a):
 # ---------------------------------------------------------------------------
 # linear algebra and shape ops
 
-def matmul(a, b):
-    """a @ b where b is a 2-d matrix; a may carry leading batch axes."""
+def matmul(a, b, bias=None, relu=False):
+    """a @ b where b is a 2-d matrix; a may carry leading batch axes.
+
+    An optional epilogue adds `bias` (Fout,) in place, then, with `relu`,
+    multiplies by (out > 0) in place: the expressions of
+    relu(add(matmul(a, b), bias)), so the bytes are that composition's, but
+    one array is kept in place of three and a mask.  The backward takes
+    g * (out > 0), which holds exactly where the sum before the ReLU is > 0.
+    A parent that requires no gradient gets None.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if b.ndim != 2:
         raise ShapeError(f"matmul right operand must be 2-d, got {b.data.shape}")
@@ -239,16 +251,31 @@ def matmul(a, b):
         raise ShapeError(f"matmul left operand must be >=2-d, got {a.data.shape}")
     if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.data.shape} vs {b.data.shape}")
+    parents = (a, b)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.data.shape != (b.data.shape[1],):
+            raise ShapeError(f"matmul bias must be ({b.data.shape[1]},), got {bias.data.shape}")
+        parents = (a, b, bias)
     out = a.data @ b.data
+    if bias is not None:
+        out += bias.data
+    if relu:
+        np.multiply(out, out > 0, out=out)
 
     def backward(g):
-        da = g @ b.data.T
-        a2 = a.data.reshape(-1, a.data.shape[-1])
-        g2 = g.reshape(-1, b.data.shape[1])
-        db = a2.T @ g2
-        return da, db
+        if relu:
+            g = g * (out > 0)
+        da = g @ b.data.T if a.requires_grad else None
+        db = None
+        if b.requires_grad:
+            a2 = a.data.reshape(-1, a.data.shape[-1])
+            db = a2.T @ g.reshape(-1, b.data.shape[1])
+        if bias is None:
+            return da, db
+        return da, db, _unbroadcast(g, bias.data.shape)
 
-    return _node(out, (a, b), backward)
+    return _node(out, parents, backward)
 
 
 def propagate(s, x):
@@ -349,7 +376,7 @@ def mean_(a, axis=None, keepdims=False):
 CONV_BLOCK_ELEMENTS = 32768
 
 
-def conv1d(signal, kernel, stride=1, bias=None, relu=False):
+def conv1d(signal, kernel, stride=1, bias=None, relu=False, pool=1):
     """Valid cross-correlation.  signal: (B, T, Fin), kernel: (K, Fin, Fout).
 
     Each output element is summed as 0 + tap 0 + tap 1 + ..., where tap k is
@@ -363,12 +390,18 @@ def conv1d(signal, kernel, stride=1, bias=None, relu=False):
     the same way; dw is one GEMM per tap.
 
     An optional epilogue runs on each block while it is still in cache: add
-    `bias` (Fout,), then, with `relu`, multiply by (out > 0).  These are the
-    expressions of relu(add(conv1d(x, w), bias)), so the bytes are that
-    composition's, signed zeros and NaNs included, but one array is kept in
-    place of four.  The backward recomputes the ReLU mask as out > 0, which
-    holds exactly where the sum before the ReLU is > 0, and sums dbias over
-    the batch, then time, as add's backward does.
+    `bias` (Fout,), then, with `relu`, multiply by (out > 0), then, with
+    `pool` > 1, max-pool windows of `pool` steps along time (the trailing
+    remainder dropped), so the result is (B, Tout // pool, Fout).  These are
+    the expressions of maxpool1d(relu(add(conv1d(x, w), bias)), pool), so the
+    bytes are that composition's, signed zeros and NaNs included, but one
+    array is kept in place of four or five; a pooled conv also keeps each
+    window's first-argmax offset as uint8, and no (B, Tout, Fout) array
+    outlives its block.  The backward sends g to those offsets (+0.0
+    elsewhere), recomputes the ReLU mask as out > 0, which holds exactly
+    where the sum before the ReLU is > 0, and sums dbias over the batch,
+    then time, as add's backward does.  A parent that requires no gradient
+    gets None.
     """
     x, w = _as_tensor(signal), _as_tensor(kernel)
     if x.ndim != 3 or w.ndim != 3:
@@ -386,23 +419,31 @@ def conv1d(signal, kernel, stride=1, bias=None, relu=False):
             raise ShapeError(f"conv1d bias must be ({Fout},), got {bias.data.shape}")
         parents = (x, w, bias)
     Tout = (T - K) // stride + 1
+    if pool < 1:
+        raise ShapeError(f"conv1d pool window {pool} is below 1")
+    if pool > Tout:
+        raise ShapeError(f"conv1d pool window {pool} exceeds output length {Tout}")
     span = stride * Tout
     rows = max(1, CONV_BLOCK_ELEMENTS // max(1, Tout * Fout))
-
-    def epilogue(ob):
-        if bias is not None:
-            ob += bias.data
-        if relu:
-            np.multiply(ob, ob > 0, out=ob)
-
-    if Fin == 1:
+    offsets = None
+    if pool > 1:
+        out = np.empty((B, Tout // pool, Fout))
+        block = np.empty((min(rows, B), Tout, Fout))
+        # the offsets serve only the backward
+        if _recording and any(p.requires_grad for p in parents):
+            offsets = np.empty(out.shape, np.uint8)
+    else:
         out = np.empty((B, Tout, Fout))
+    if Fin == 1:
         xs = x.data[:, :, 0]
         wk = w.data[:, 0, :, None]                      # (K, Fout, 1)
         acc = np.empty((min(rows, B), Fout, Tout))
         tap = np.empty_like(acc)
-        for a in range(0, B, rows):
-            b = min(B, a + rows)
+
+    for a in range(0, B, rows):
+        b = min(B, a + rows)
+        ob = block[:b - a] if pool > 1 else out[a:b]
+        if Fin == 1:
             ac, tp = acc[:b - a], tap[:b - a]
             np.multiply(xs[a:b, None, :span:stride], wk[0], out=ac)
             for k in range(1, K):
@@ -411,33 +452,96 @@ def conv1d(signal, kernel, stride=1, bias=None, relu=False):
             # + 0.0 turns a -0.0 sum into the +0.0 of a sum started at 0; it
             # comes before the bias, as (-0.0 + 0.0) + -0.0 is +0.0 but
             # -0.0 + -0.0 is -0.0
-            np.add(ac.transpose(0, 2, 1), 0.0, out=out[a:b])
-            epilogue(out[a:b])
-    else:
-        out = np.zeros((B, Tout, Fout))
-        for a in range(0, B, rows):
-            ob, xb = out[a:a + rows], x.data[a:a + rows]
+            np.add(ac.transpose(0, 2, 1), 0.0, out=ob)
+        else:
+            ob.fill(0.0)
+            xb = x.data[a:b]
             for k in range(K):
                 ob += xb[:, k:k + span:stride] @ w.data[k]
-            epilogue(ob)
+        if bias is not None:
+            ob += bias.data
+        if relu:
+            np.multiply(ob, ob > 0, out=ob)
+        if pool > 1:
+            _window_max(ob, pool, out[a:b])
+            if offsets is not None:
+                _first_hits(ob, out[a:b], pool, offsets[a:b])
 
     def backward(g):
         if relu:
             g = g * (out > 0)
-        dx = np.zeros_like(x.data)
-        dw = np.empty_like(w.data)
+        if pool > 1:
+            g = _unpool(g, offsets, pool, Tout)
         g2 = g.reshape(-1, Fout)
-        for k in range(K):
-            dw[k] = x.data[:, k:k + span:stride].reshape(-1, Fin).T @ g2
-        for a in range(0, B, rows):
-            gb, dxb = g[a:a + rows], dx[a:a + rows]
+        dw = None
+        if w.requires_grad:
+            dw = np.empty_like(w.data)
             for k in range(K):
-                dxb[:, k:k + span:stride] += gb @ w.data[k].T
+                dw[k] = x.data[:, k:k + span:stride].reshape(-1, Fin).T @ g2
+        dx = None
+        if x.requires_grad:
+            dx = np.zeros_like(x.data)
+            for a in range(0, B, rows):
+                gb, dxb = g[a:a + rows], dx[a:a + rows]
+                for k in range(K):
+                    dxb[:, k:k + span:stride] += gb @ w.data[k].T
         if bias is None:
             return dx, dw
         return dx, dw, g.sum(axis=0).sum(axis=0)
 
     return _node(out, parents, backward)
+
+
+def _window_max(x, window, out):
+    """Max of each non-overlapping time window of x (B, T, F), written to out.
+
+    out is (B, Tout, F) with Tout * window <= T; the remainder is ignored.
+    For F > 1 it is a running np.maximum over the window offsets, so a NaN
+    entry wins over numbers and the first NaN's bytes are kept.
+    """
+    B, Tout, F = out.shape
+    span = Tout * window
+    if F == 1:
+        # numpy reduces along the window here, and a NaN comes out with
+        # other bytes than the running maximum gives.  Only for those bytes:
+        # no model pools at F == 1 (STGCN pools at 8, Cnn1d at 16), and at
+        # F == 8 the running maximum is 2-4x faster than this reduction
+        np.max(x[:, :span].reshape(B, Tout, window, F), axis=2, out=out)
+    else:
+        np.copyto(out, x[:, :span:window])
+        for j in range(1, window):
+            np.maximum(out, x[:, j:span:window], out=out)
+    return out
+
+
+def _first_hits(x, out, window, first):
+    """Write to `first` the offset in its window of each max in out.
+
+    That is the window's first entry equal to the max, or its first NaN,
+    counted as the number of leading entries that miss.  Every window has
+    a hit: a max is one of its entries, and a NaN max comes from a NaN
+    entry, which equals nothing.
+    """
+    span = out.shape[1] * window
+    nan = np.isnan(out).any()
+    first.fill(0)
+    run = np.ones(out.shape, bool)           # no hit yet in offsets 0..j
+    for j in range(window - 1):
+        run &= x[:, j:span:window] != out
+        if nan:
+            run &= ~np.isnan(x[:, j:span:window])
+        first += run
+    return first
+
+
+def _unpool(g, offsets, window, length):
+    """g (B, Tout, F) at each window's offset in a (B, length, F) array of +0.0."""
+    B, Tout, F = g.shape
+    dx = np.zeros((B, length, F))
+    # splitting the time axis gives a view, so the put writes into dx
+    windows = dx[:, :Tout * window].reshape(B, Tout, window, F)
+    np.put_along_axis(windows, offsets[:, :, None, :], g[:, :, None, :], axis=2)
+    return dx
 
 
 def maxpool1d(signal, window):
@@ -446,8 +550,8 @@ def maxpool1d(signal, window):
     The forward is a running np.maximum over the window offsets and keeps no
     index array.  The backward finds each window's first argmax anew from
     the input: the first offset whose value equals the max, or the first
-    NaN.  g goes there by one np.where that writes the gradient in place of
-    a zero buffer, and the remainder gets zero.
+    NaN.  g goes there, and every other entry, the remainder included, gets
+    +0.0.  conv1d(..., pool=window) pools by the same two rules.
     """
     x = _as_tensor(signal)
     if x.ndim != 3:
@@ -456,36 +560,11 @@ def maxpool1d(signal, window):
     Tout = T // window
     if Tout == 0:
         raise ShapeError(f"maxpool1d window {window} exceeds length {T}")
-    span = Tout * window
-    if F == 1:
-        # numpy reduces along the window here, and a NaN comes out with
-        # other bytes than the running maximum gives.  Only for those bytes:
-        # no model pools at F == 1 (STGCN pools at 8, Cnn1d at 16), and at
-        # F == 8 the running maximum is 2-4x faster than this reduction
-        out = x.data[:, :span].reshape(B, Tout, window, F).max(axis=2)
-    else:
-        out = x.data[:, :span:window].copy()
-        for j in range(1, window):
-            np.maximum(out, x.data[:, j:span:window], out=out)
+    out = _window_max(x.data, window, np.empty((B, Tout, F)))
 
     def backward(g):
-        xw = x.data[:, :span].reshape(B, Tout, window, F)
-        hit = xw == out[:, :, None, :]
-        if np.isnan(out).any():
-            # a NaN input makes the max NaN, which equals nothing
-            hit |= np.isnan(xw)
-        # keep each window's first hit
-        taken = hit[:, :, 0]
-        for j in range(1, window):
-            hit[:, :, j] &= ~taken
-            if j < window - 1:
-                taken = taken | hit[:, :, j]
-        pooled = np.where(hit, g[:, :, None, :], 0.0).reshape(B, span, F)
-        if span == T:
-            return (pooled,)
-        dx = np.zeros_like(x.data)
-        dx[:, :span] = pooled
-        return (dx,)
+        first = _first_hits(x.data, out, window, np.empty(out.shape, np.uint8))
+        return (_unpool(g, first, window, T),)
 
     return _node(out, (x,), backward)
 

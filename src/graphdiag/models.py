@@ -10,7 +10,10 @@ GraphSage pool aggregator runs on edge lists.  No layer forms a dense N x N
 matrix; only the GAE decoder's reconstruction `forward` is dense, and GAE
 training takes its loss from Z without it.  A 1-d conv layer (GCN's conv
 head, STGCN's temporal blocks, the 1d-CNN) is one `ad.conv1d` call that adds
-its bias and applies its ReLU inside the op, so it keeps one output array.
+its bias, applies its ReLU and, in STGCN's and the 1d-CNN's pooled layers,
+max-pools inside the op, so it keeps one output array (and a uint8 argmax
+offset when it pools).  Dense, GCN and GraphSage layers are likewise one
+`ad.matmul` call with the bias and ReLU inside.
 """
 
 from __future__ import annotations
@@ -72,6 +75,11 @@ def default_spec(architecture, seed=0, **overrides):
     return spec
 
 
+def _check_activation(activation, name):
+    if activation not in ("relu", "identity"):
+        raise ValueError(f"{name}: activation must be 'relu' or 'identity', got {activation!r}")
+
+
 def glorot(rng, shape):
     fan_in, fan_out = shape[0], shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -85,6 +93,7 @@ class GcnLayer:
     """Z = act(S X Theta) with S the symmetric-normalized adjacency."""
 
     def __init__(self, c_in, c_out, rng, activation="relu", name="gcn"):
+        _check_activation(activation, name)
         self.theta = Parameter(glorot(rng, (c_in, c_out)), name=f"{name}.theta")
         self.activation = activation
         self.params = [self.theta]
@@ -93,8 +102,7 @@ class GcnLayer:
         """act(S x Theta); a caller whose x never changes passes sx = S x once computed."""
         if sx is None:
             sx = ad.propagate(gr.sym_propagation(g), x)
-        z = ad.matmul(sx, self.theta)
-        return ad.relu(z) if self.activation == "relu" else z
+        return ad.matmul(sx, self.theta, relu=self.activation == "relu")
 
 
 class GatEdgeIndex:
@@ -123,6 +131,7 @@ class GatLayer:
 
     def __init__(self, c_in, c_out, heads, rng, merge="concat",
                  activation="relu", name="gat"):
+        _check_activation(activation, name)
         self.c_in, self.c_out, self.heads = c_in, c_out, heads
         self.merge = merge
         self.activation = activation
@@ -169,6 +178,7 @@ class SageLayer:
                  name="sage"):
         if aggregator not in ("mean", "gcn", "pool"):
             raise ValueError(f"unknown aggregator {aggregator!r}")
+        _check_activation(activation, name)
         self.aggregator = aggregator
         self.activation = activation
         self.w = Parameter(glorot(rng, (2 * c_in, c_out)), name=f"{name}.w")
@@ -185,8 +195,8 @@ class SageLayer:
             agg = ad.propagate(gr.sym_propagation(g), x)
         else:
             agg = self._pool_aggregate(x, g)
-        z = ad.matmul(ad.concat([x, agg], axis=1), self.w)
-        return ad.relu(z) if self.activation == "relu" else z
+        return ad.matmul(ad.concat([x, agg], axis=1), self.w,
+                         relu=self.activation == "relu")
 
     def _pool_aggregate(self, x, g):
         # neighbor lists are the rows of the D^-1 A pattern; isolated rows are empty
@@ -196,38 +206,41 @@ class SageLayer:
         present = np.flatnonzero(np.diff(pattern.indptr))
         seg = ad.SegmentIndex(pattern.indptr[present], pattern.nnz)
         src = pattern.indices.astype(np.intp)
-        transformed = ad.relu(ad.add(ad.matmul(x, self.w_pool), self.b_pool))
+        transformed = ad.matmul(x, self.w_pool, self.b_pool, relu=True)
         gathered = ad.take_rows(transformed, src, ad.GatherPlan(src, g.n))
         pooled = ad.segment_max(gathered, seg)
         return ad.put_rows(pooled, present, g.n)
 
 
 class Dense:
+    """act(x W + b), act "relu" or "identity", as one matmul node."""
+
     def __init__(self, c_in, c_out, rng, activation="identity", name="dense"):
+        _check_activation(activation, name)
         self.w = Parameter(glorot(rng, (c_in, c_out)), name=f"{name}.w")
         self.b = Parameter(np.zeros(c_out), name=f"{name}.b")
         self.activation = activation
         self.params = [self.w, self.b]
 
     def __call__(self, x):
-        z = ad.add(ad.matmul(x, self.w), self.b)
-        return ad.relu(z) if self.activation == "relu" else z
+        return ad.matmul(x, self.w, self.b, self.activation == "relu")
 
 
 class Conv1dLayer:
-    """act(conv1d(x, kernel) + bias), act "relu" or "identity", as one conv1d node."""
+    """act(conv1d(x, kernel) + bias), act "relu" or "identity", max-pooled over
+    windows of `pool` steps when pool > 1, as one conv1d node."""
 
-    def __init__(self, k, c_in, c_out, rng, stride=1, activation="relu", name="conv"):
-        if activation not in ("relu", "identity"):
-            raise ValueError(f"{name}: activation must be 'relu' or 'identity', got {activation!r}")
+    def __init__(self, k, c_in, c_out, rng, stride=1, activation="relu", pool=1, name="conv"):
+        _check_activation(activation, name)
         self.kernel = Parameter(glorot(rng, (k, c_in, c_out)), name=f"{name}.kernel")
         self.bias = Parameter(np.zeros(c_out), name=f"{name}.bias")
-        self.stride = stride
+        self.stride, self.pool = stride, pool
         self.activation = activation
         self.params = [self.kernel, self.bias]
 
     def __call__(self, x):
-        return ad.conv1d(x, self.kernel, self.stride, self.bias, self.activation == "relu")
+        return ad.conv1d(x, self.kernel, self.stride, self.bias, self.activation == "relu",
+                         self.pool)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +363,10 @@ class StgcnModel:
         self.n_channels = n_channels
         self.sensor_graph = sensor_graph
         self.s_norm = gr.sym_propagation(sensor_graph)
-        self.t1a = Conv1dLayer(k1, 1, f1, rng, name="t1a")
+        self.t1a = Conv1dLayer(k1, 1, f1, rng, pool=self.pool, name="t1a")
         self.t1b = Conv1dLayer(k2, f1, f1, rng, name="t1b")
         self.theta = Parameter(glorot(rng, (f1, f2)), name="spatial.theta")
-        self.t2a = Conv1dLayer(k2, f2, f2, rng, name="t2a")
+        self.t2a = Conv1dLayer(k2, f2, f2, rng, pool=self.pool, name="t2a")
         self.t2b = Conv1dLayer(k2, f2, f2, rng, name="t2b")
         self.head = Dense(n_channels * f2, n_classes, rng, name="head")
         self.params = (self.t1a.params + self.t1b.params + [self.theta]
@@ -385,16 +398,12 @@ class StgcnModel:
                 f"signal length {t} below the receptive field; need T >= {self.min_length()}")
         # temporal block 1, per sensor
         h = ad.reshape(ad.transpose(x, (2, 0, 1)), (c * b, t, 1))
-        h = self.t1a(h)
-        h = ad.maxpool1d(h, self.pool)
-        h = self.t1b(h)                                 # (C*B, T1, F1)
+        h = self.t1b(self.t1a(h))                       # (C*B, T1, F1)
         # spatial block: mix sensors through the normalized sensor adjacency
         h = ad.reshape(ad.propagate(self.s_norm, ad.reshape(h, (c, -1))), h.shape)
-        h = ad.relu(ad.matmul(h, self.theta))           # (C*B, T1, F2)
+        h = ad.matmul(h, self.theta, relu=True)         # (C*B, T1, F2)
         # temporal block 2, per sensor
-        h = self.t2a(h)
-        h = ad.maxpool1d(h, self.pool)
-        h = self.t2b(h)
+        h = self.t2b(self.t2a(h))
         h = ad.mean_(h, axis=1)                         # (C*B, F2)
         f2 = h.shape[1]
         h = ad.reshape(ad.transpose(ad.reshape(h, (c, b, f2)), (1, 0, 2)), (b, c * f2))
@@ -430,7 +439,7 @@ class Cnn1dModel:
         rng = np.random.default_rng(spec.seed)
         f1 = spec.widths.get("conv1", 16)
         f2 = spec.widths.get("conv2", 16)
-        self.conv1 = Conv1dLayer(5, n_channels, f1, rng, name="conv1")
+        self.conv1 = Conv1dLayer(5, n_channels, f1, rng, pool=2, name="conv1")
         self.conv2 = Conv1dLayer(3, f1, f2, rng, name="conv2")
         self.head = Dense(f2, n_classes, rng, name="head")
         self.params = self.conv1.params + self.conv2.params + self.head.params
@@ -441,9 +450,7 @@ class Cnn1dModel:
             x = ad.reshape(x, (x.shape[0], x.shape[1], 1))
             if self.conv1.kernel.shape[1] != 1:
                 raise ad.ShapeError("model built for multichannel input, got static features")
-        h = self.conv1(x)
-        h = ad.maxpool1d(h, 2)
-        h = self.conv2(h)
+        h = self.conv2(self.conv1(x))
         h = ad.mean_(h, axis=1)
         return self.head(h)
 

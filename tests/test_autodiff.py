@@ -382,6 +382,154 @@ class TestConvEpilogue:
         assert live < out.data.nbytes + 1024 * 1024
 
 
+class TestPooledConv:
+    """conv1d(..., pool) against maxpool1d(relu(add(conv1d(x, w), b))), byte for byte."""
+
+    @pytest.mark.parametrize("fin, fout", [(1, 8), (3, 8), (3, 1)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pool", [2, 3])
+    @pytest.mark.parametrize("relu, with_bias", [(False, False), (True, True),
+                                                 (True, False), (False, True)])
+    def test_matches_composition(self, fin, fout, stride, pool, relu, with_bias, monkeypatch):
+        T, K = 41, 5                         # Tout 37 or 19: a remainder for both windows
+        tout = (T - K) // stride + 1
+        monkeypatch.setattr(ad, "CONV_BLOCK_ELEMENTS", 3 * tout * fout)
+        B = 3 + 3 + 1                        # two full row blocks of 3 and a partial one
+        rng = np.random.default_rng(fin + 10 * stride + 100 * pool + 1000 * relu + 5000 * with_bias)
+        x = with_specials(rng, (B, T, fin), [0.0, -0.0, np.nan])
+        w = with_specials(rng, (K, fin, fout), [0.0, -0.0])
+        x[1] = 0.5                           # equal outputs: every window of sample 1 ties
+        x[2] = -0.0                          # -0.0 sums, +0.0 after the conv's + 0.0
+        x[3, 7:9] = np.nan                   # windows with several NaNs
+        x[3, 20] = -np.nan
+        b = with_specials(rng, (fout,), [-0.0, 0.0, -0.5]) if with_bias else None
+        fused = [ad.Parameter(a) for a in (x, w, b) if a is not None]
+        plain = [ad.Parameter(a.copy()) for a in (x, w, b) if a is not None]
+        out = ad.conv1d(fused[0], fused[1], stride, fused[2] if with_bias else None, relu, pool)
+        want = ad.conv1d(plain[0], plain[1], stride)
+        if with_bias:
+            want = ad.add(want, plain[2])
+        if relu:
+            want = ad.relu(want)
+        want = ad.maxpool1d(want, pool)
+        assert out.shape == (B, tout // pool, fout)
+        g = with_specials(rng, out.shape, [0.0, -0.0, np.nan])
+        out.backward(g)
+        want.backward(g)
+        assert out.data.tobytes() == want.data.tobytes()
+        for p, q in zip(fused, plain):
+            assert p.grad.tobytes() == q.grad.tobytes()
+
+    def test_unrecorded_forward_has_the_same_bytes(self):
+        rng = np.random.default_rng(6)
+        x, w, b = param(rng, 5, 30, 3), param(rng, 3, 3, 8), param(rng, 8)
+        recorded = ad.conv1d(x, w, 1, b, True, 3)
+        with ad.no_grad():
+            plain = ad.conv1d(x, w, 1, b, True, 3)
+        assert not plain.requires_grad
+        assert plain.data.tobytes() == recorded.data.tobytes()
+
+    def test_pool_window_is_checked(self):
+        x, w = ad.Tensor(np.ones((2, 9, 3))), ad.Tensor(np.ones((3, 3, 4)))   # Tout 7
+        with pytest.raises(ad.ShapeError, match="pool window 0 is below 1"):
+            ad.conv1d(x, w, pool=0)
+        with pytest.raises(ad.ShapeError, match="pool window 8 exceeds output length 7"):
+            ad.conv1d(x, w, pool=8)
+        assert ad.conv1d(x, w, pool=7).shape == (2, 1, 4)
+
+    def test_constant_signal_gets_no_gradient(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(4, 20, 1))
+        w, b = param(rng, 5, 1, 8), param(rng, 8)
+        out = ad.conv1d(ad.Tensor(x), w, 1, b, True, 2)
+        g = rng.normal(size=out.shape)
+        dx, dw, db = out._backward(g)
+        assert dx is None
+        w2, b2 = ad.Parameter(w.data.copy()), ad.Parameter(b.data.copy())
+        ad.conv1d(ad.Parameter(x), w2, 1, b2, True, 2).backward(g)
+        assert dw.tobytes() == w2.grad.tobytes() and db.tobytes() == b2.grad.tobytes()
+
+    def test_pooled_layer_keeps_pooled_output_and_offsets(self):
+        rng = np.random.default_rng(4)
+        layer = md.Conv1dLayer(5, 1, 8, rng, pool=2, name="t1a")
+        x = ad.Tensor(rng.normal(size=(4096, 256, 1)))
+        tracemalloc.start()
+        try:
+            out = layer(x)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad and out.shape == (4096, 126, 8)
+        # the pooled float64 output and one uint8 offset per element; the
+        # composition kept the (4096, 252, 8) conv output, 66 MB, as well
+        assert live < out.data.nbytes + out.data.size + 1024 * 1024
+
+
+class TestMatmulEpilogue:
+    """matmul's bias and ReLU against relu(add(matmul(a, b), bias)), byte for byte."""
+
+    @pytest.mark.parametrize("lead", [(7,), (3, 5)])
+    @pytest.mark.parametrize("relu, with_bias", [(False, True), (True, True), (True, False)])
+    def test_matches_composition(self, lead, relu, with_bias):
+        rng = np.random.default_rng(len(lead) + 10 * relu + 100 * with_bias)
+        a = with_specials(rng, lead + (4,), [0.0, -0.0, np.nan])
+        a[0] = -0.0                          # a row of -0.0 sums, with a -0.0 bias below
+        b = with_specials(rng, (4, 6), [0.0, -0.0])
+        bias = with_specials(rng, (6,), [-0.0, 0.0, -0.5]) if with_bias else None
+        fused = [ad.Parameter(v) for v in (a, b, bias) if v is not None]
+        plain = [ad.Parameter(v.copy()) for v in (a, b, bias) if v is not None]
+        out = ad.matmul(fused[0], fused[1], fused[2] if with_bias else None, relu)
+        want = ad.matmul(plain[0], plain[1])
+        if with_bias:
+            want = ad.add(want, plain[2])
+        if relu:
+            want = ad.relu(want)
+        g = with_specials(rng, out.shape, [0.0, -0.0])
+        out.backward(g)
+        want.backward(g)
+        assert out.data.tobytes() == want.data.tobytes()
+        for p, q in zip(fused, plain):
+            assert p.grad.tobytes() == q.grad.tobytes()
+
+    def test_bias_shape_is_checked(self):
+        a, b = ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 4)))
+        for shape in [(3,), (1, 4), (2, 4), ()]:
+            with pytest.raises(ad.ShapeError, match="bias"):
+                ad.matmul(a, b, bias=np.zeros(shape))
+
+    def test_constant_operand_gets_no_gradient(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(5, 3)), param(rng, 3, 2)
+        out = ad.matmul(ad.Tensor(a), b, relu=True)
+        da, db = out._backward(np.ones(out.shape))
+        assert da is None and db.shape == (3, 2)
+        out = ad.matmul(ad.Parameter(a), ad.Tensor(b.data))
+        da, db = out._backward(np.ones(out.shape))
+        assert db is None and da.shape == (5, 3)
+
+    @pytest.mark.parametrize("cls, args", [
+        (md.Dense, (3, 4)), (md.GcnLayer, (3, 4)), (md.SageLayer, (3, 4)),
+        (md.GatLayer, (3, 4, 2))])
+    def test_layers_reject_unknown_activation(self, cls, args):
+        with pytest.raises(ValueError, match="activation"):
+            cls(*args, rng=np.random.default_rng(0), activation="tanh")
+
+    def test_dense_layer_keeps_one_output(self):
+        rng = np.random.default_rng(5)
+        layer = md.Dense(64, 256, rng, activation="relu")
+        x = ad.Tensor(rng.normal(size=(4096, 64)))
+        tracemalloc.start()
+        try:
+            out = layer(x)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        # relu(add(matmul(x, w), b)) kept the product, the sum, the ReLU
+        # output and its mask: 3.1 outputs of 8 MB
+        assert live < out.data.nbytes + 256 * 1024
+
+
 class TestBackward:
     def test_leaf_accumulation_reused_operand(self):
         # y = x*x + x uses x three times; dy/dx = 2x + 1
@@ -519,6 +667,25 @@ class TestGradCheck:
             return fn, [x, k]
 
         self.check(build, 2)
+
+    @pytest.mark.parametrize("fin", [1, 3])
+    def test_pooled_conv_layer(self, fin):
+        def build(rng):
+            layer = md.Conv1dLayer(3, fin, 4, rng, pool=2)
+            layer.bias.data[:] = rng.normal(size=4)
+            x = param(rng, 2, 12, fin)
+            weights = rng.normal(size=(2, 5, 4))
+            return (lambda: ad.sum_(layer(x) * weights)), [x] + layer.params
+
+        self.check(build, 3)
+
+    def test_matmul_bias_relu(self):
+        def build(rng):
+            a, b, c = param(rng, 2, 5, 3), param(rng, 3, 4), param(rng, 4)
+            weights = rng.normal(size=(2, 5, 4))
+            return (lambda: ad.sum_(ad.matmul(a, b, c, relu=True) * weights)), [a, b, c]
+
+        self.check(build, 3)
 
     def test_conv_stride(self):
         def build(rng):

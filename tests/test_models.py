@@ -393,6 +393,28 @@ class TestStgcn:
         out = model.forward(np.zeros((1, t, 3))).data
         assert out.shape == (1, 4)
 
+    def test_recorded_forward_keeps_one_array_per_layer(self):
+        model = self.make()
+        x = np.random.default_rng(25).normal(size=(300, 256, 3))
+        tracemalloc.start()
+        try:
+            out = model.forward(x)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        rows, f = 300 * 3, 8                        # sensor-major rows, every width 8
+        t1 = (256 - model.k1 + 1) // model.pool     # t1a, pooled
+        t2 = t1 - model.k2 + 1                      # t1b, the propagation, the spatial matmul
+        t3 = (t2 - model.k2 + 1) // model.pool      # t2a, pooled
+        t4 = t3 - model.k2 + 1                      # t2b
+        # the sensor-major input copy, one float64 array per layer and a
+        # uint8 offset per pooled element; the unfused layers kept t1a's and
+        # t2a's unpooled outputs and the spatial pre-ReLU product and mask
+        # too, 27 MB more
+        kept = 8 * rows * (256 + f * (t1 + 3 * t2 + t3 + t4)) + rows * f * (t1 + t3)
+        assert live < kept + 1024 * 1024
+
     def test_spatial_mixing_crosses_sensors(self):
         # same model, identical inputs except on sensor 2, which is linked
         # to sensor 1: sensor 1's pathway must change
