@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -99,23 +100,22 @@ def _write_config(out_dir, cfg):
     (out_dir / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True))
 
 
-def _model_names(args):
-    """The --model list; every name must be a classifier (any architecture but gae)."""
+def _model_specs(args):
+    """{name: spec with --epochs and --lr} for the --model list, checked before
+    any data loads; each name is a classifier (any method but a graph builder), once."""
     names = [m.strip().lower() for m in args.model.split(",")]
-    known = [a for a in md.ARCHITECTURES if a != "gae"]
-    unknown = [m for m in names if m not in known]
-    if unknown:
-        raise ConfigError(f"unknown model {', '.join(unknown)}; known: {', '.join(known)}")
-    return names
-
-
-def _spec_for(name, seed, args):
-    spec = md.default_spec(name, seed=seed)
-    if getattr(args, "epochs", None):
-        spec.epochs = args.epochs
-    if getattr(args, "lr", None):
-        spec.lr = args.lr
-    return spec
+    known = [name for name, method in md.METHODS.items() if method.trains_on != md.BUILDER]
+    bad = [m for i, m in enumerate(names) if m not in known or m in names[:i]]
+    if bad:
+        raise ConfigError(f"unknown model or model given twice: {', '.join(bad)}; "
+                          f"known: {', '.join(known)}")
+    epochs, lr = args.epochs, args.lr
+    if epochs is not None and not (isinstance(epochs, int) and epochs >= 1):
+        raise ConfigError(f"--epochs must be a whole number of at least 1, got {epochs!r}")
+    if lr is not None and not (isinstance(lr, (int, float)) and math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"--lr must be a finite number above 0, got {lr!r}")
+    overrides = {k: v for k, v in (("epochs", epochs), ("lr", lr)) if v is not None}
+    return {name: md.default_spec(name, **overrides) for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -146,27 +146,23 @@ def cmd_build_graph(args):
 
 
 def cmd_train(args):
-    model_names = _model_names(args)
+    specs = _model_specs(args)
     dataset = _load_dataset(args)
     seeds = _seeds(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     g = (_build_graph(args, dataset, _node_features(dataset))
-         if any(m in md.NODE_LEVEL for m in model_names) else None)
+         if any(md.METHODS[m].trains_on == md.GRAPH for m in specs) else None)
     quality = gb.graph_quality(g).to_dict() if g is not None else None
     fingerprint = json.dumps(_resolved_config(args), sort_keys=True)
     source = "test" if args.sensor_graph_from_test else "train"
     aggregates = {}
-    for name in model_names:
+    for name, spec in specs.items():
         reports = []
         for seed in seeds:
-            spec = _spec_for(name, fg.seed_stream(seed, f"{name}-init"), args)
-            masks = dg.split(dataset.labels,
-                             dg.SplitSpec(args.train_size, args.val_size,
-                                          seed=fg.seed_stream(seed, "split")))
-            pred = dg.train_and_predict(name, dataset, g, masks, spec,
-                                        n_classes=dataset.n_classes,
-                                        sensor_graph_source=source)
+            masks, pred = dg.run_seed(name, dataset, g, args.train_size, args.val_size, seed,
+                                      spec, n_classes=dataset.n_classes,
+                                      sensor_graph_source=source)
             rep = dg.evaluate_predictions(dataset.labels[masks["test"]], pred,
                                           dataset.n_classes, graph_quality=quality,
                                           fingerprint=fingerprint, seeds=[seed])
@@ -182,7 +178,7 @@ def cmd_train(args):
 
 
 def cmd_curve(args):
-    model_names = _model_names(args)
+    specs = _model_specs(args)
     if args.sensor_graph_from_test:
         raise ConfigError("curve builds each STGCN sensor graph from its train split; "
                           "--sensor-graph-from-test applies to train only")
@@ -190,7 +186,6 @@ def cmd_curve(args):
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes \
         else list(range(10, 101, 10))
     seeds = _seeds(args)
-    specs = {name: _spec_for(name, 0, args) for name in model_names}
     curve = dg.learning_curve(lambda: _build_graph(args, dataset, _node_features(dataset)),
                               dataset, specs, sizes, seeds, n_val=args.val_size)
     out = Path(args.out)

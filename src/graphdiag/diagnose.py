@@ -5,10 +5,10 @@ read); graph-level training is minibatched over samples with the sensor
 graph built from channel correlations.  Each trainer prepares its data and
 yields the optimizer steps of an epoch; `optim.fit` runs the epochs, checks
 for divergence, records the loss trace and restores the best-on-validation
-parameters.  `train_and_predict` dispatches any classifier name to its
-trainer and predicts the test split; the CLI's `train` and every
-learning-curve cell go through it.  Reports are deterministic JSON
-documents per (config, seed).
+parameters.  `run_seed` splits, trains and predicts the test split for one
+seed, with the trainer that the `models.METHODS` row's input kind picks; the
+CLI's `train` reports on it and every learning-curve cell scores it.
+Reports are deterministic JSON documents per (config, seed).
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ def split(labels, spec):
     """
     labels = np.asarray(labels, dtype=np.intp)
     n = len(labels)
+    if spec.n_train < 0 or spec.n_val < 0:
+        raise ValueError(f"split sizes must not be negative, got n_train={spec.n_train}, "
+                         f"n_val={spec.n_val}")
     if spec.n_train + spec.n_val > n:
         raise ValueError(f"split sizes {spec.n_train}+{spec.n_val} exceed N={n}")
     rng = np.random.default_rng(spec.seed)
@@ -201,6 +204,11 @@ def train_graph_level(dataset, masks, spec, sensor_graph_source="train",
 def train_baseline(dataset, masks, spec):
     """MLP / 1d-CNN / KNN baselines trained on the training split only."""
     arch = spec.architecture
+    method = md.METHODS[arch]
+    if method.trains_on not in (md.SAMPLES, md.SERIES):
+        raise ValueError(f"unknown baseline {arch!r}")
+    if method.trains_on == md.SERIES and not dataset.is_timeseries:
+        raise ValueError(f"{arch} baseline needs time-series data")
     train_idx = np.flatnonzero(masks["train"])
     val_idx = np.flatnonzero(masks["val"])
     flat = dataset.samples.reshape(len(dataset.samples), -1)
@@ -208,22 +216,12 @@ def train_baseline(dataset, masks, spec):
     std = flat[train_idx].std(axis=0)
     std = np.where(std > 0, std, 1.0)
     xs = (flat - mean) / std
-    if arch == "knn-classifier":
-        k = spec.widths.get("k", 5)
-        clf = md.KnnClassifier(k=min(k, len(train_idx)))
-        clf.fit(xs[train_idx], dataset.labels[train_idx])
-        return clf, [], xs
+    inputs = xs.reshape(dataset.samples.shape) if method.trains_on == md.SERIES else xs
+    if hasattr(method.model, "fit"):                # fitted in one call, no epochs
+        clf = method.model(k=spec.widths.get("k", 5))
+        return clf.fit(inputs[train_idx], dataset.labels[train_idx]), [], inputs
     n_classes = dataset.n_classes
-    if arch == "mlp":
-        model = md.MlpModel(xs.shape[1], n_classes, spec)
-        inputs = xs
-    elif arch == "cnn1d":
-        if not dataset.is_timeseries:
-            raise ValueError("cnn1d baseline needs time-series data")
-        model = md.Cnn1dModel(dataset.samples.shape[2], n_classes, spec)
-        inputs = xs.reshape(dataset.samples.shape)
-    else:
-        raise ValueError(f"unknown baseline {arch!r}")
+    model = method.model(inputs.shape[-1], n_classes, spec)
     y = one_hot(dataset.labels, n_classes)
     rng = np.random.default_rng(seed_stream(spec.seed, "baseline-batches"))
 
@@ -242,19 +240,32 @@ def train_and_predict(architecture, dataset, g, masks, spec, n_classes=None,
     """Predicted classes of the test split, trained on g (node-level models)
     or on dataset (STGCN and the baselines)."""
     test = masks["test"]
-    if architecture in md.NODE_LEVEL:
+    trains_on = md.METHODS[architecture].trains_on
+    if trains_on == md.GRAPH:
         model, _ = train_node_level(architecture, g, masks, spec, n_classes=n_classes)
         return predict_node_level(model, g)[test]
-    if architecture == "stgcn":
+    if trains_on == md.SENSOR_GRAPH:
         model, _, (mean, std) = train_graph_level(dataset, masks, spec,
                                                   sensor_graph_source=sensor_graph_source)
         inputs = (dataset.samples - mean) / std
     else:
         model, _, inputs = train_baseline(dataset, masks, spec)
-    if architecture == "knn-classifier":
+    if hasattr(model, "predict"):
         return model.predict(inputs[test])
     with ad.no_grad():
         return model.forward(inputs[test]).data.argmax(axis=1)
+
+
+def run_seed(architecture, dataset, g, n_train, n_val, seed, spec=None, n_classes=None,
+             sensor_graph_source="train"):
+    """(masks, predicted test classes) of a stratified split of dataset's labels,
+    or g's without a dataset; the split and init seeds are drawn from `seed`."""
+    labels = g.labels if dataset is None else dataset.labels
+    spec = replace(spec or md.default_spec(architecture),
+                   seed=seed_stream(seed, f"{architecture}-init"))
+    masks = split(labels, SplitSpec(n_train, n_val, seed=seed_stream(seed, "split")))
+    return masks, train_and_predict(architecture, dataset, g, masks, spec, n_classes=n_classes,
+                                    sensor_graph_source=sensor_graph_source)
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +377,9 @@ def pca_project(x, dims=2):
 # learning curves
 
 def _cell(architecture, dataset, g, n_train, n_val, seed, spec, n_classes=None):
-    """One (model, train size, seed) cell: split, train, test accuracy."""
-    labels = dataset.labels if g is None else g.labels
-    if spec is None:
-        spec = md.default_spec(architecture)
-    spec.seed = seed_stream(seed, f"{architecture}-init")
-    masks = split(labels, SplitSpec(n_train, n_val, seed=seed_stream(seed, "split")))
-    pred = train_and_predict(architecture, dataset, g, masks, spec, n_classes=n_classes)
+    """One (model, train size, seed) cell: run_seed's test accuracy."""
+    masks, pred = run_seed(architecture, dataset, g, n_train, n_val, seed, spec, n_classes)
+    labels = g.labels if dataset is None else dataset.labels
     return float((pred == labels[masks["test"]]).mean())
 
 
@@ -397,20 +404,17 @@ def learning_curve(graph_for, dataset, model_specs, train_sizes, seeds, n_val=30
     results = {}
     g = None
     for name, spec in model_specs.items():
+        arch = spec.architecture
         accs = []
         for size in sizes:
             if size + n_val > len(dataset.labels):
                 raise ValueError(f"train size {size} + val {n_val} exceeds dataset")
-            cells = []
-            for seed in seeds:
-                if spec.architecture in md.NODE_LEVEL:
-                    if g is None:
-                        g = graph_for()
-                    cells.append(run_node_experiment(spec.architecture, g, size, n_val,
-                                                     seed, spec=replace(spec)))
-                else:
-                    cells.append(run_baseline_experiment(spec.architecture, dataset, size,
-                                                         n_val, seed, spec=replace(spec)))
+            if md.METHODS[arch].trains_on == md.GRAPH:
+                g = graph_for() if g is None else g
+                cells = [run_node_experiment(arch, g, size, n_val, s, spec=spec) for s in seeds]
+            else:
+                cells = [run_baseline_experiment(arch, dataset, size, n_val, s, spec=spec)
+                         for s in seeds]
             accs.append(float(np.mean(cells)))
         results[name] = accs
     return {"sizes": sizes, "results": results}

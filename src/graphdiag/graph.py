@@ -181,11 +181,6 @@ def normalized_adjacency(g):
     return sym_propagation(g).toarray()
 
 
-def mean_aggregation_matrix(g):
-    """Row-normalized adjacency D^{-1} A, dense; isolated nodes get a zero row."""
-    return mean_propagation(g).toarray()
-
-
 def permute(g, perm):
     """Relabel nodes by a bijection perm: old index -> new index."""
     perm = np.asarray(perm, dtype=np.intp)

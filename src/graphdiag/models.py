@@ -14,34 +14,23 @@ its bias, applies its ReLU and, in STGCN's and the 1d-CNN's pooled layers,
 max-pools inside the op, so it keeps one output array (and a uint8 argmax
 offset when it pools).  Dense, GCN and GraphSage layers are likewise one
 `ad.matmul` call with the bias and ReLU inside.
+
+`METHODS` declares each method once: its table defaults, what it trains on
+and its model class.  `default_spec`, `build_node_model`, the CLI's model
+names and `diagnose`'s dispatch read it, so a new method is one row.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from collections import namedtuple
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, Parameter
 from . import graph as gr
-
-# Defaults from the hyperparameter table: (epochs, lr, optimizer)
-TABLE_DEFAULTS = {
-    "gcn": (300, 0.00018, "rmsprop"),
-    "gat": (200, 0.00005, "adam"),
-    "graphsage": (300, 0.005, "rmsprop"),
-    "stgcn": (200, 0.001, "adam"),
-    # below are not specified by the reference protocol; chosen here
-    "gae": (200, 0.01, "adam"),
-    "mlp": (200, 0.001, "adam"),
-    "cnn1d": (200, 0.001, "adam"),
-    "knn-classifier": (0, 0.0, "adam"),
-}
-
-ARCHITECTURES = tuple(TABLE_DEFAULTS)
-
 
 @dataclass
 class ModelSpec:
@@ -64,15 +53,13 @@ class ModelSpec:
 
 
 def default_spec(architecture, seed=0, **overrides):
+    """The METHODS row's defaults; an override that is no ModelSpec field raises."""
     architecture = architecture.lower()
-    if architecture not in TABLE_DEFAULTS:
-        raise ValueError(f"unknown architecture {architecture!r}; known: {ARCHITECTURES}")
-    epochs, lr, opt = TABLE_DEFAULTS[architecture]
-    spec = ModelSpec(architecture=architecture, epochs=epochs, lr=lr,
-                     optimizer=opt, seed=seed)
-    for k, v in overrides.items():
-        setattr(spec, k, v)
-    return spec
+    if architecture not in METHODS:
+        raise ValueError(f"unknown architecture {architecture!r}; known: {tuple(METHODS)}")
+    epochs, lr, opt = METHODS[architecture].defaults
+    return replace(ModelSpec(architecture=architecture, epochs=epochs, lr=lr,
+                             optimizer=opt, seed=seed), **overrides)
 
 
 def _check_activation(activation, name):
@@ -480,11 +467,34 @@ class KnnClassifier:
         return out
 
 
-NODE_LEVEL = {"gcn": GcnModel, "gat": GatModel, "graphsage": SageModel}
+# What a method trains on; the kind picks its trainer in diagnose
+GRAPH = "graph"                 # node features over the association graph
+SENSOR_GRAPH = "sensor graph"   # standardized (B, T, C) series over a channel graph
+SERIES = "series"               # the baselines' standardized samples, shaped (B, T, C)
+SAMPLES = "samples"             # the baselines' standardized samples, one row each
+BUILDER = "builder"             # builds association graphs and classifies nothing
+
+Method = namedtuple("Method", "defaults trains_on model")
+
+METHODS = {
+    # (epochs, lr, optimizer) from the reference protocol's hyperparameter table
+    "gcn": Method((300, 0.00018, "rmsprop"), GRAPH, GcnModel),
+    "gat": Method((200, 0.00005, "adam"), GRAPH, GatModel),
+    "graphsage": Method((300, 0.005, "rmsprop"), GRAPH, SageModel),
+    "stgcn": Method((200, 0.001, "adam"), SENSOR_GRAPH, StgcnModel),
+    # below are not specified by the reference protocol; chosen here
+    "gae": Method((200, 0.01, "adam"), BUILDER, GaeModel),
+    "mlp": Method((200, 0.001, "adam"), SAMPLES, MlpModel),
+    "cnn1d": Method((200, 0.001, "adam"), SERIES, Cnn1dModel),
+    "knn-classifier": Method((0, 0.0, "adam"), SAMPLES, KnnClassifier),
+}
+
+# criterion 5's consistency check reads the defaults by name
+TABLE_DEFAULTS = {name: method.defaults for name, method in METHODS.items()}
 
 
 def build_node_model(architecture, c_in, n_classes, spec):
-    cls = NODE_LEVEL.get(architecture.lower())
-    if cls is None:
+    method = METHODS.get(architecture.lower())
+    if method is None or method.trains_on != GRAPH:
         raise ValueError(f"not a node-level architecture: {architecture!r}")
-    return cls(c_in, n_classes, spec)
+    return method.model(c_in, n_classes, spec)

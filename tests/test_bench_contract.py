@@ -11,9 +11,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphdiag import autodiff as ad
+from graphdiag import diagnose as dg
+from graphdiag import faultgen as fg
+from graphdiag import graphbuild as gb
+from graphdiag import models as md
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,3 +55,25 @@ def test_every_per_layer_metric_resolves(bench):
         except KeyError:
             unresolved.append(name)
     assert not unresolved
+
+
+def test_traced_learning_curve_times_every_cell(bench):
+    """The tracer patches diagnose's trainers and cells as module attributes;
+    a dispatch that held them from import time would leave these at 0."""
+    tracing, _ = bench
+    rng = np.random.default_rng(12)
+    y = np.repeat(np.arange(2), 20)
+    x = rng.normal(size=(40, 4)) + 5.0 * y[:, None]
+    ds = fg.Dataset(samples=x, labels=y, class_names=["a", "b"])
+    specs = {"graphsage": md.default_spec("graphsage", epochs=2, widths={"hidden": 4}),
+             "mlp": md.default_spec("mlp", epochs=2)}
+    sizes, seeds = [6, 12], [0, 1]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        dg.learning_curve(lambda: gb.knn_graph(x, 3, labels=y), ds, specs, sizes, seeds,
+                          n_val=6)
+    finally:
+        tracer.uninstall()
+    assert tracer.metric("diagnose.cells") == len(specs) * len(sizes) * len(seeds)
+    assert tracer.metric("diagnose.train_s") > 0

@@ -244,7 +244,7 @@ class TestModelNames:
     CLASSIFIERS = "gcn, gat, graphsage, stgcn, mlp, cnn1d, knn-classifier"
 
     @pytest.mark.parametrize("command", ["train", "curve"])
-    @pytest.mark.parametrize("model", ["gae", "mlp,gnc"])
+    @pytest.mark.parametrize("model", ["gae", "mlp,gnc", "mlp,mlp"])
     def test_unknown_model_rejected_before_loading_data(self, command, model, tmp_path,
                                                         capsys):
         code = run([command, "--dataset", tmp_path / "missing", "--model", model,
@@ -252,6 +252,18 @@ class TestModelNames:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "unknown model" in err and f"known: {self.CLASSIFIERS}" in err
+
+    @pytest.mark.parametrize("command", ["train", "curve"])
+    @pytest.mark.parametrize("option, value", [("--epochs", "0"), ("--epochs", "-3"),
+                                               ("--lr", "-1"), ("--lr", "0"),
+                                               ("--lr", "nan"), ("--lr", "inf")])
+    def test_bad_training_option_rejected_before_loading_data(self, command, option, value,
+                                                              tmp_path, capsys):
+        code = run([command, "--dataset", tmp_path / "missing", "--model", "mlp",
+                    option, value, "--out", tmp_path / "o"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert option in err and "does not exist" not in err
 
     def test_curve_trains_stgcn(self, series_dir, tmp_path):
         out = tmp_path / "c"

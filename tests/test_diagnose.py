@@ -71,6 +71,11 @@ class TestSplit:
         masks = dg.split(labels, dg.SplitSpec(10, 5, stratified=False, seed=0))
         assert masks["train"].sum() == 10
 
+    @pytest.mark.parametrize("n_train, n_val", [(-1, 5), (5, -1)])
+    def test_negative_size_rejected(self, n_train, n_val):
+        with pytest.raises(ValueError, match="must not be negative"):
+            dg.split(np.zeros(10, dtype=int), dg.SplitSpec(n_train, n_val))
+
     def test_oversize_rejected(self):
         with pytest.raises(ValueError):
             dg.split(np.zeros(10, dtype=int), dg.SplitSpec(8, 5))

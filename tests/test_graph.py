@@ -110,7 +110,7 @@ class TestMeanAggregation:
         rng = np.random.default_rng(3)
         for _ in range(20):
             g = random_graph(rng, int(rng.integers(1, 15)))
-            m = gr.mean_aggregation_matrix(g)
+            m = gr.mean_propagation(g).toarray()
             for v in range(g.n):
                 want = np.zeros(g.n)
                 nb = g.neighbors(v)

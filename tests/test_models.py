@@ -167,6 +167,10 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             md.default_spec("transformer")
 
+    def test_unknown_override_rejected(self):
+        with pytest.raises(TypeError):
+            md.default_spec("gcn", epoch=5)
+
     def test_json_round_trip(self):
         spec = md.default_spec("gcn", seed=7, widths={"gc": 32})
         back = md.ModelSpec.from_json(spec.to_json())
