@@ -702,9 +702,10 @@ def gat_attention(xp, a_self, a_nbr, ei, slope):
     """GAT attention over an edge index, on plain arrays; records nothing.
 
     xp is (N, H, C) and a_self, a_nbr are (H, C).  `ei.seg` splits the
-    edges into one non-empty segment per destination node, in node order,
-    and `ei.src` is each edge's source.  With s = (xp * a).sum(-1), edge
-    (i, j) scores LeakyReLU(s_self[i] + s_nbr[j]) with slope in [0, 1], and
+    edges into one non-empty segment per destination node `ei.dst`, which
+    are sorted node ids (every node, or a subset), and `ei.src` is each
+    edge's source.  With s = (xp * a).sum(-1), edge (i, j) scores
+    LeakyReLU(s_self[i] + s_nbr[j]) with slope in [0, 1], and
     alpha (E, H) is the softmax of the scores within each segment, shifted
     by the segment max.  Returns alpha and the LeakyReLU's derivative per
     edge (1 or slope).  It is not an op, so it is not in __all__.
@@ -712,7 +713,7 @@ def gat_attention(xp, a_self, a_nbr, ei, slope):
     if not 0.0 <= slope <= 1.0:
         raise ValueError(f"LeakyReLU slope must lie in [0, 1], got {slope}")
     seg = ei.seg
-    s_self = (xp * a_self).sum(axis=2)
+    s_self = (xp[ei.dst] * a_self).sum(axis=2)
     s_nbr = (xp * a_nbr).sum(axis=2)
     raw = np.repeat(s_self, seg.lengths, axis=0) + np.take(s_nbr, ei.src, axis=0)
     # max(True, slope) = 1 and max(False, slope) = slope, without np.where's branches
@@ -725,14 +726,16 @@ def gat_attention(xp, a_self, a_nbr, ei, slope):
 
 
 def gat_aggregate(xp, a_self, a_nbr, ei, slope):
-    """GAT neighbour sum out[i] = sum_j alpha_ij xp[j] as one op: (N, H, C) -> (N, H, C).
+    """GAT neighbour sum out[k] = sum_j alpha_ij xp[j], i = ei.dst[k], as one
+    op: (N, H, C) -> (len(ei.dst), H, C).
 
     alpha is gat_attention's.  The sum is one CSR matmul per head over the
     edge pattern with alpha[:, h] as data, so no (E, H, C) message tensor is
     built.  The hand-written backward sends g back through the transposed
     CSR, takes dalpha as the sampled product (g[dst] * xp[src]).sum(-1),
     applies the softmax and LeakyReLU backward, and routes the score
-    gradients to xp, a_self and a_nbr through segment and scatter sums.
+    gradients to xp, a_self and a_nbr through segment and scatter sums, the
+    self scores' into the `dst` rows.
     """
     from scipy import sparse
 
@@ -743,14 +746,15 @@ def gat_aggregate(xp, a_self, a_nbr, ei, slope):
         raise ShapeError(f"gat_aggregate expects (N, H, C) features and (H, C) attention "
                          f"vectors, got {xp.data.shape}, {a_self.data.shape}, {a_nbr.data.shape}")
     n, heads, channels = xp.data.shape
-    if len(seg.starts) != n or seg.total != len(src):
-        raise ShapeError(f"edge index over {len(seg.starts)} nodes and {len(src)} edges "
+    dst = ei.dst
+    if ei.n != n or len(seg.starts) != len(dst) or seg.total != len(src):
+        raise ShapeError(f"edge index into {len(dst)} of {ei.n} nodes over {len(src)} edges "
                          f"does not fit features of {n} nodes")
     alpha, scale = gat_attention(xp.data, a_self.data, a_nbr.data, ei, slope)
     # one CSR over the edge pattern; each head swaps in its alpha column as data
     weights = sparse.csr_matrix((alpha[:, 0], src, np.append(seg.starts, seg.total)),
-                                shape=(n, n))
-    out = np.empty_like(xp.data)
+                                shape=(len(dst), n))
+    out = np.empty((len(dst), heads, channels))
     for h in range(heads):
         weights.data = alpha[:, h]
         out[:, h] = weights @ xp.data[:, h]
@@ -770,8 +774,10 @@ def gat_aggregate(xp, a_self, a_nbr, ei, slope):
         ds *= scale
         ds_self = seg.matrix @ ds
         ds_nbr = ei.src_plan.matrix @ ds
-        dxp += ds_self[:, :, None] * a_self.data + ds_nbr[:, :, None] * a_nbr.data
-        return (dxp, np.einsum("nh,nhc->hc", ds_self, x),
+        step = ds_nbr[:, :, None] * a_nbr.data
+        step[dst] += ds_self[:, :, None] * a_self.data
+        dxp += step
+        return (dxp, np.einsum("nh,nhc->hc", ds_self, x[dst]),
                 np.einsum("nh,nhc->hc", ds_nbr, x))
 
     return _node(out, (xp, a_self, a_nbr), backward)

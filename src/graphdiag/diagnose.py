@@ -1,7 +1,10 @@
 """End-to-end diagnosis: splits, training, evaluation, learning curves.
 
-Node-level training is full-batch and transductive (test labels are never
-read); graph-level training is minibatched over samples with the sensor
+Node-level training is transductive (test labels are never read): every
+epoch runs the first graph layers over the whole graph, and the last graph
+layer and the head only at the train and validation nodes, which the masked
+loss and the model selection read; prediction runs the whole graph.
+Graph-level training is minibatched over samples with the sensor
 graph built from channel correlations.  Each trainer prepares its data and
 yields the optimizer steps of an epoch; `optim.fit` runs the epochs, checks
 for divergence, records the loss trace and restores the best-on-validation
@@ -110,29 +113,30 @@ def one_hot(labels, n_classes):
 # training: each trainer yields the steps of an epoch, and optim.fit runs them
 
 def train_node_level(architecture, g, masks, spec, n_classes=None):
-    """Algorithm for node-level diagnosis: full-graph epochs, masked CE loss,
-    best-on-validation snapshot returned.  Only training labels are read.
+    """Algorithm for node-level diagnosis: epochs whose forward ends at the
+    train and validation rows, masked CE loss, best-on-validation snapshot
+    returned.  Only training and validation labels are read.
     """
     if g.features is None or g.labels is None:
         raise ValueError("graph must carry features and labels")
     if not masks["train"].any():
         raise ValueError("empty training mask")
+    # the loss and the selection read only these rows, so the forward ends there
+    rows = np.flatnonzero(masks["train"] | masks["val"])
+    labels = g.labels[rows]
     if n_classes is None:
-        n_classes = int(g.labels[masks["train"] | masks["val"]].max()) + 1
+        n_classes = int(labels.max()) + 1
     x = Tensor(gb.standardize(g.features))
-    # labels outside train/val are zeroed: the loss and selection never see them
-    visible = masks["train"] | masks["val"]
-    safe_labels = np.where(visible, g.labels, 0)
-    y = one_hot(safe_labels, n_classes)
+    y = one_hot(labels, n_classes)
+    train, val = masks["train"][rows], masks["val"][rows]
     model = md.build_node_model(architecture, x.shape[1], n_classes, spec)
-    val = masks["val"]
 
     def steps(epoch):
-        logits = model.forward(x, g)
+        logits = model.forward(x, g, rows)
         # scored on the logits of the parameters as they are before this step
         pred = logits.data.argmax(axis=1)
-        acc = float((pred[val] == safe_labels[val]).mean()) if val.any() else None
-        yield ad.cross_entropy(logits, y, masks["train"]), 1, acc
+        acc = float((pred[val] == labels[val]).mean()) if val.any() else None
+        yield ad.cross_entropy(logits, y, train), 1, acc
 
     return model, fit(model, spec, steps)
 

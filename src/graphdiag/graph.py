@@ -7,7 +7,9 @@ symmetric normalization is applied inside its operator only.
 
 Operators derived from a graph's structure (the sparse propagation matrices
 and the attention edge index) are built on first use and kept on the Graph,
-so every model that runs on the same graph shares one copy.
+so every model that runs on the same graph shares one copy.  Their
+restrictions to a set of rows (the train and validation nodes of a fit) are
+kept too, for the latest set of rows asked for.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ class GraphError(ValueError):
 
 class Graph:
     __slots__ = ("n", "edges", "_neighbors", "features", "labels", "masks", "_hash",
-                 "_derived")
+                 "_derived", "_derived_rows")
 
     def __init__(self, n, edges, features=None, labels=None, masks=None):
         self.n = int(n)
         self._derived = {}
+        self._derived_rows = {}
         edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
         if len(edges):
             lo = np.minimum(edges[:, 0], edges[:, 1])
@@ -90,17 +93,26 @@ class Graph:
             a[self.edges[:, 1], self.edges[:, 0]] = 1.0
         return a
 
-    def derived(self, build):
+    def derived(self, build, rows=None):
         """`build(self)`, computed on the first call for `build` and kept.
 
         A Graph never changes after construction, so an operator derived
-        from its structure stays valid for the graph's lifetime.
+        from its structure stays valid for the graph's lifetime.  With
+        `rows` (sorted node ids) the value is `build(self, rows)`, kept in
+        one slot per `build` until other rows are asked for: a fit asks for
+        the same rows every epoch, and the next fit for its own.
         """
-        try:
-            return self._derived[build]
-        except KeyError:
-            value = self._derived[build] = build(self)
-            return value
+        if rows is None:
+            try:
+                return self._derived[build]
+            except KeyError:
+                value = self._derived[build] = build(self)
+                return value
+        key = rows.tobytes()
+        slot = self._derived_rows.get(build)
+        if slot is None or slot[0] != key:
+            slot = self._derived_rows[build] = (key, build(self, rows))
+        return slot[1]
 
     def with_data(self, features=None, labels=None, masks=None):
         """Copy of this graph's structure with data fields replaced."""
@@ -150,7 +162,9 @@ def _directed_edges(g):
             np.concatenate([g.edges[:, 1], g.edges[:, 0]]))
 
 
-def _build_sym_propagation(g):
+def _build_sym_propagation(g, rows=None):
+    if rows is not None:
+        return sym_propagation(g)[rows]
     loops = np.arange(g.n)
     rows, cols = _directed_edges(g)
     rows, cols = np.concatenate([rows, loops]), np.concatenate([cols, loops])
@@ -158,22 +172,28 @@ def _build_sym_propagation(g):
     return _csr(dinv[rows] * dinv[cols], rows, cols, g.n)
 
 
-def _build_mean_propagation(g):
+def _build_mean_propagation(g, rows=None):
+    if rows is not None:
+        return mean_propagation(g)[rows]
     rows, cols = _directed_edges(g)
     return _csr(1.0 / np.bincount(rows, minlength=g.n)[rows], rows, cols, g.n)
 
 
-def sym_propagation(g):
-    """D~^{-1/2} (A + I) D~^{-1/2} as a CSR matrix, cached on g; indices sorted."""
-    return g.derived(_build_sym_propagation)
+def sym_propagation(g, rows=None):
+    """D~^{-1/2} (A + I) D~^{-1/2} as a CSR matrix, cached on g; indices sorted.
+
+    With `rows` (sorted node ids), only those rows, as a CSR row slice.
+    """
+    return g.derived(_build_sym_propagation, rows)
 
 
-def mean_propagation(g):
+def mean_propagation(g, rows=None):
     """Row-normalized adjacency D^{-1} A as a CSR matrix, cached on g.
 
-    Isolated nodes get an empty row; column indices are sorted.
+    Isolated nodes get an empty row; column indices are sorted.  With
+    `rows` (sorted node ids), only those rows, as a CSR row slice.
     """
-    return g.derived(_build_mean_propagation)
+    return g.derived(_build_mean_propagation, rows)
 
 
 def normalized_adjacency(g):

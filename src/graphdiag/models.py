@@ -15,6 +15,16 @@ max-pools inside the op, so it keeps one output array (and a uint8 argmax
 offset when it pools).  Dense, GCN and GraphSage layers are likewise one
 `ad.matmul` call with the bias and ReLU inside.
 
+The node-level models' `forward(x, g, rows)` computes the last graph layer
+and everything after it only at `rows`, sorted node ids, with their full
+neighbourhoods: training passes its train and validation nodes, so the
+masked loss computes no row that it would multiply by zero, and the rows
+equal those of the full forward (`rows=None`), which prediction uses.  GCN
+propagates through the row slice of its operator, GraphSage's second layer
+through the slice of its mean or gcn operator, and GAT's second layer
+attends over a `GatEdgeIndex` of the rows' segments; the earlier layers
+stay full-graph.
+
 `METHODS` declares each method once: its table defaults, what it trains on
 and its model class.  `default_spec`, `build_node_model`, the CLI's model
 names and `diagnose`'s dispatch read it, so a new method is one row.
@@ -67,6 +77,25 @@ def _check_activation(activation, name):
         raise ValueError(f"{name}: activation must be 'relu' or 'identity', got {activation!r}")
 
 
+def _check_rows(rows, n):
+    """rows as an intp array, or None; a ShapeError unless they are a
+    non-empty, 1-d, strictly increasing array of integer node ids in [0, n)."""
+    if rows is None:
+        return None
+    rows = np.asarray(rows)
+    if rows.ndim != 1:
+        raise ad.ShapeError(f"rows must be 1-d, got shape {rows.shape}")
+    if not len(rows):
+        raise ad.ShapeError("rows must not be empty")
+    if not np.issubdtype(rows.dtype, np.integer):
+        raise ad.ShapeError(f"rows must be integer node ids, got dtype {rows.dtype}")
+    if np.any(rows[1:] <= rows[:-1]):
+        raise ad.ShapeError("rows must be strictly increasing")
+    if rows[0] < 0 or rows[-1] >= n:
+        raise ad.ShapeError(f"rows must lie in [0, {n}), got {rows[0]} .. {rows[-1]}")
+    return rows.astype(np.intp, copy=False)
+
+
 def glorot(rng, shape):
     fan_in, fan_out = shape[0], shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -85,23 +114,28 @@ class GcnLayer:
         self.activation = activation
         self.params = [self.theta]
 
-    def __call__(self, x, g, sx=None):
-        """act(S x Theta); a caller whose x never changes passes sx = S x once computed."""
+    def __call__(self, x, g, sx=None, rows=None):
+        """act(S x Theta), at `rows` only when given; a caller whose x never
+        changes passes sx = S x once computed."""
         if sx is None:
-            sx = ad.propagate(gr.sym_propagation(g), x)
+            sx = ad.propagate(gr.sym_propagation(g, rows), x)
         return ad.matmul(sx, self.theta, relu=self.activation == "relu")
 
 
 class GatEdgeIndex:
-    """Directed edges of A + I as CSR rows: one segment per destination node.
+    """Directed edges of A + I into the nodes `dst` as CSR rows: one segment each.
 
-    `seg` holds each node's run of edges and `src` their sources, sorted, as
-    in the cached A + I pattern; every node has its self loop, so no segment
-    is empty.  Built once per graph through `g.derived(GatEdgeIndex)`.
+    `dst` is every node, or the sorted `rows` when given; `seg` holds each
+    destination's run of edges and `src` their sources, sorted, as in the
+    cached A + I pattern; every node has its self loop, so no segment is
+    empty.  Built once per graph, or per set of rows, through
+    `g.derived(GatEdgeIndex, rows)`.
     """
 
-    def __init__(self, g):
-        pattern = gr.sym_propagation(g)
+    def __init__(self, g, rows=None):
+        pattern = gr.sym_propagation(g, rows)
+        self.n = g.n
+        self.dst = np.arange(g.n) if rows is None else rows
         self.src = pattern.indices
         self.seg = ad.SegmentIndex(pattern.indptr[:-1], pattern.nnz)
         self.src_plan = ad.GatherPlan(self.src, g.n)
@@ -127,13 +161,13 @@ class GatLayer:
         self.a_nbr = Parameter(glorot(rng, (heads, c_out)), name=f"{name}.a_nbr")
         self.params = [self.w, self.a_self, self.a_nbr]
 
-    def __call__(self, x, g):
-        n = g.n
-        xp = ad.reshape(ad.matmul(x, self.w), (n, self.heads, self.c_out))
-        out = ad.gat_aggregate(xp, self.a_self, self.a_nbr, g.derived(GatEdgeIndex),
-                               self.LEAKY_SLOPE)       # (N, H, c_out)
+    def __call__(self, x, g, rows=None):
+        """The layer's output at every node, or at `rows` only when given."""
+        xp = ad.reshape(ad.matmul(x, self.w), (g.n, self.heads, self.c_out))
+        out = ad.gat_aggregate(xp, self.a_self, self.a_nbr, g.derived(GatEdgeIndex, rows),
+                               self.LEAKY_SLOPE)       # (len(dst), H, c_out)
         if self.merge == "concat":
-            merged = ad.reshape(out, (n, self.heads * self.c_out))
+            merged = ad.reshape(out, (out.shape[0], self.heads * self.c_out))
         else:
             merged = ad.mean_(out, axis=1)
         return ad.relu(merged) if self.activation == "relu" else merged
@@ -144,7 +178,7 @@ class GatLayer:
         xp = (x.data @ self.w.data).reshape(g.n, self.heads, self.c_out)
         alpha = ad.gat_attention(xp, self.a_self.data, self.a_nbr.data, ei,
                                  self.LEAKY_SLOPE)[0]
-        dst = np.repeat(np.arange(g.n), ei.seg.lengths)
+        dst = np.repeat(ei.dst, ei.seg.lengths)
         mats = []
         for h in range(self.heads):
             mat = np.zeros((g.n, g.n))
@@ -175,13 +209,19 @@ class SageLayer:
             self.b_pool = Parameter(np.zeros(c_in), name=f"{name}.b_pool")
             self.params += [self.w_pool, self.b_pool]
 
-    def __call__(self, x, g):
+    def __call__(self, x, g, rows=None):
+        """The layer's output at every node, or at `rows` only when given;
+        the pool aggregator pools at every node and then takes the rows."""
         if self.aggregator == "mean":
-            agg = ad.propagate(gr.mean_propagation(g), x)
+            agg = ad.propagate(gr.mean_propagation(g, rows), x)
         elif self.aggregator == "gcn":
-            agg = ad.propagate(gr.sym_propagation(g), x)
+            agg = ad.propagate(gr.sym_propagation(g, rows), x)
         else:
             agg = self._pool_aggregate(x, g)
+            if rows is not None:
+                agg = ad.take_rows(agg, rows)
+        if rows is not None:
+            x = ad.take_rows(x, rows)
         return ad.matmul(ad.concat([x, agg], axis=1), self.w,
                          relu=self.activation == "relu")
 
@@ -256,8 +296,9 @@ class GcnModel:
         self.params = (self.gc.params + [p for c in self.convs for p in c.params]
                        + self.fc1.params + self.fc2.params)
 
-    def forward(self, x, g):
-        z = self.gc(x, g)                               # (N, gc_width)
+    def forward(self, x, g, rows=None):
+        rows = _check_rows(rows, g.n)
+        z = self.gc(x, g, rows=rows)                    # (N or len(rows), gc_width)
         h = ad.reshape(z, (z.shape[0], z.shape[1], 1))  # treat width as a sequence
         for conv in self.convs:
             h = conv(h)
@@ -277,8 +318,9 @@ class GatModel:
                                merge="average", activation="identity", name="gat2")
         self.params = self.layer1.params + self.layer2.params
 
-    def forward(self, x, g):
-        return self.layer2(self.layer1(x, g), g)
+    def forward(self, x, g, rows=None):
+        rows = _check_rows(rows, g.n)
+        return self.layer2(self.layer1(x, g), g, rows)
 
 
 class SageModel:
@@ -294,8 +336,9 @@ class SageModel:
                                 activation="identity", name="sage2")
         self.params = self.layer1.params + self.layer2.params
 
-    def forward(self, x, g):
-        return self.layer2(self.layer1(x, g), g)
+    def forward(self, x, g, rows=None):
+        rows = _check_rows(rows, g.n)
+        return self.layer2(self.layer1(x, g), g, rows)
 
 
 class GaeModel:

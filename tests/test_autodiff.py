@@ -946,6 +946,25 @@ class TestGatAggregate:
 
             assert ad.grad_check(fn, params) < FD_TOL
 
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_destination_subset(self, heads, negative):
+        # node 0, node n-1 and node n-2, whose segments are only their self loops
+        rows = np.array([0, 2, 3, 5, 6])
+        for seed in range(3):
+            g, xp, a_self, a_nbr = self.case(20 + seed, heads, negative)
+            ei = md.GatEdgeIndex(g, rows)
+            out = ad.gat_aggregate(ad.Tensor(xp), a_self, a_nbr, ei, self.SLOPE).data
+            want = gat_reference(xp, a_self, a_nbr, g, self.SLOPE)[rows]
+            assert np.abs(out - want).max() < 1e-12
+            params = [ad.Parameter(xp), ad.Parameter(a_self), ad.Parameter(a_nbr)]
+            w = np.random.default_rng(seed).normal(size=out.shape)
+
+            def fn():
+                return ad.sum_(ad.gat_aggregate(*params, ei, self.SLOPE) * w)
+
+            assert ad.grad_check(fn, params) < FD_TOL
+
     def test_shape_errors(self):
         g, xp, a_self, a_nbr = self.case(0, 2)
         ei = md.GatEdgeIndex(g)

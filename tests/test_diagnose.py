@@ -136,9 +136,11 @@ class TestTrainNodeLevel:
             model = build(*args, **kwargs)
             forward = model.forward
 
-            def recorded(x, graph):
-                out = forward(x, graph)
-                accs.append(float((out.data.argmax(axis=1)[val] == g.labels[val]).mean()))
+            def recorded(x, graph, rows=None):
+                out = forward(x, graph, rows)
+                seen = np.arange(graph.n) if rows is None else rows
+                pred = out.data.argmax(axis=1)
+                accs.append(float((pred[val[seen]] == g.labels[seen][val[seen]]).mean()))
                 return out
 
             model.forward = recorded
@@ -151,6 +153,32 @@ class TestTrainNodeLevel:
         best = max(accs)
         pred = dg.predict_node_level(model, g)
         assert float((pred[val] == g.labels[val]).mean()) == best
+
+    @pytest.mark.parametrize("arch", ["gcn", "gat", "graphsage"])
+    def test_forward_runs_at_the_train_and_validation_rows(self, arch, monkeypatch):
+        rng = np.random.default_rng(7)
+        g = clustered_graph(rng)
+        masks = dg.split(g.labels, dg.SplitSpec(12, 6, seed=3))
+        calls = []
+        build = md.build_node_model
+
+        def recording_build(*args, **kwargs):
+            model = build(*args, **kwargs)
+            forward = model.forward
+
+            def recorded(x, graph, *rest):
+                calls.append(rest)
+                return forward(x, graph, *rest)
+
+            model.forward = recorded
+            return model
+
+        monkeypatch.setattr(md, "build_node_model", recording_build)
+        spec = md.default_spec(arch, epochs=3, heads=2, widths=self.spec(arch).widths)
+        dg.train_node_level(arch, g, masks, spec)
+        want = np.flatnonzero(masks["train"] | masks["val"])
+        assert len(calls) == 3
+        assert all(len(rest) == 1 and np.array_equal(rest[0], want) for rest in calls)
 
     def test_empty_train_mask_rejected(self):
         rng = np.random.default_rng(5)

@@ -122,6 +122,28 @@ class TestMeanAggregation:
         assert gr.sym_propagation(g) is gr.sym_propagation(g)
         assert gr.mean_propagation(g) is gr.mean_propagation(g)
 
+    @pytest.mark.parametrize("operator", [gr.sym_propagation, gr.mean_propagation])
+    def test_row_operators_are_the_full_rows(self, operator):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            g = random_graph(rng, int(rng.integers(2, 15)))
+            rows = np.flatnonzero(rng.random(g.n) < 0.5)
+            if not len(rows):
+                continue
+            part = operator(g, rows)
+            assert part.has_sorted_indices
+            assert np.array_equal(part.toarray(), operator(g).toarray()[rows])
+
+    def test_row_operators_kept_for_the_latest_rows(self):
+        g = gr.from_edge_list([(0, 1), (1, 2)], 3)
+        full = gr.sym_propagation(g)
+        first = gr.sym_propagation(g, np.array([0, 2]))
+        assert gr.sym_propagation(g, np.array([0, 2])) is first
+        other = gr.sym_propagation(g, np.array([1]))
+        assert other is not first and other.shape == (1, 3)
+        assert gr.sym_propagation(g, np.array([1])) is other
+        assert gr.sym_propagation(g) is full
+
 
 class TestNeighbors:
     def test_path_middle(self):

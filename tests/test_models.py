@@ -333,6 +333,80 @@ class TestLargeGraph:
         assert all(p.grad is not None and np.isfinite(p.grad).all() for p in model.params)
 
 
+def rows_case(seed, n=60, isolated=3):
+    """Random graph whose last `isolated` nodes have no edge, its features,
+    and sorted rows that hold node 0, node n-1 and an isolated node."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(n - isolated) for j in range(i + 1, n - isolated)
+             if rng.random() < 0.15]
+    rows = np.union1d(rng.choice(n, size=n // 4, replace=False), [0, n - 2, n - 1])
+    return gr.from_edge_list(pairs, n), rng.normal(size=(n, 3)), rows
+
+
+ROWS_CASES = [
+    ("gcn", {"gc": 8, "conv": (2, 2), "hidden": 4}),
+    ("gat", {"per_head": 3}),
+    ("graphsage", {"hidden": 5, "aggregator": "mean"}),
+    ("graphsage", {"hidden": 5, "aggregator": "gcn"}),
+    ("graphsage", {"hidden": 5, "aggregator": "pool"}),
+]
+
+
+class TestRowsPath:
+    """forward(x, g, rows) is the full forward's rows, and so are its gradients."""
+
+    @pytest.mark.parametrize("arch,widths", ROWS_CASES)
+    def test_forward_rows_are_the_full_rows_byte_for_byte(self, arch, widths):
+        for seed in range(3):
+            g, x, rows = rows_case(seed)
+            model = md.build_node_model(arch, 3, 3, small_spec(arch, heads=2, widths=widths))
+            full = model.forward(Tensor(x), g).data
+            got = model.forward(Tensor(x), g, rows).data
+            assert got.tobytes() == full[rows].tobytes()
+
+    @pytest.mark.parametrize("arch,widths", ROWS_CASES)
+    def test_masked_loss_gradients_match_the_full_batch(self, arch, widths):
+        for seed in range(3):
+            g, x, rows = rows_case(seed)
+            train = np.zeros(g.n, dtype=bool)
+            train[rows[::2]] = True
+            y = np.eye(3)[np.arange(g.n) % 3]
+            model = md.build_node_model(arch, 3, 3, small_spec(arch, heads=2, widths=widths))
+            grads = []
+            for loss in (lambda: ad.cross_entropy(model.forward(Tensor(x), g), y, train),
+                         lambda: ad.cross_entropy(model.forward(Tensor(x), g, rows), y[rows],
+                                                  train[rows])):
+                for p in model.params:
+                    p.grad = None
+                loss().backward()
+                grads.append([p.grad for p in model.params])
+            for full, part in zip(*grads):
+                if arch == "gcn":       # BLAS sums the rows' products without the zero rows
+                    assert np.abs(part - full).max() <= 1e-12 * np.abs(full).max()
+                else:
+                    assert part.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("arch", ["gcn", "gat", "graphsage"])
+    @pytest.mark.parametrize("rows,problem", [
+        (np.array([], dtype=np.intp), "must not be empty"),
+        (np.array([[0, 1]]), "must be 1-d"),
+        (np.array([0.0, 1.0]), "must be integer"),
+        (np.array([True, False]), "must be integer"),
+        (np.array([0, 2, 2]), "strictly increasing"),
+        (np.array([3, 1]), "strictly increasing"),
+        (np.array([-1, 2]), r"must lie in \[0, 6\)"),
+        (np.array([2, 6]), r"must lie in \[0, 6\)"),
+    ])
+    def test_bad_rows_raise_before_any_op(self, arch, rows, problem, monkeypatch):
+        g = gr.from_edge_list([(i, i + 1) for i in range(5)], 6)
+        model = md.build_node_model(arch, 3, 3, small_spec(arch, heads=2))
+        for name in ad.__all__:
+            if callable(getattr(ad, name)) and name[0].islower():
+                monkeypatch.setattr(ad, name, lambda *a, **k: pytest.fail("an op ran"))
+        with pytest.raises(ad.ShapeError, match=problem):
+            model.forward(Tensor(np.zeros((6, 3))), g, rows)
+
+
 class TestGae:
     def test_reconstruction_symmetric_and_bounded(self):
         rng = np.random.default_rng(21)
