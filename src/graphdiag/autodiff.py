@@ -38,7 +38,7 @@ __all__ = [
     "concat", "relu", "leaky_relu", "sigmoid", "exp", "log",
     "conv1d", "maxpool1d", "sum_", "mean_",
     "take_rows", "put_rows", "segment_sum", "repeat_segments", "segment_max", "gat_aggregate",
-    "cross_entropy", "bce_matrix", "inner_product_bce", "mse_matrix", "grad_check",
+    "cross_entropy", "bce_matrix", "BceTarget", "inner_product_bce", "mse_matrix", "grad_check",
 ]
 
 
@@ -835,11 +835,39 @@ def bce_matrix(recon, target, eps=1e-7):
 IP_BCE_BLOCK = 64
 
 
-def inner_product_bce(z, pattern, eps=1e-7):
+class BceTarget:
+    """inner_product_bce's symmetric 0/1 target A, as the flat indices of its
+    ones in each row block.
+
+    `pattern` is an (N, N) CSR matrix whose entries are A's ones (its values
+    are ignored).  Block k covers rows [a, b), a = k * IP_BCE_BLOCK, against
+    columns [a, N), so its one at (i, j), j >= a, is entry
+    (i - a) * (N - a) + (j - a) of the block's (b - a) x (N - a) array.  A
+    fit's target never changes, so the fit builds this once and every
+    epoch's loss reads it.
+    """
+
+    def __init__(self, pattern):
+        n = pattern.shape[0]
+        if pattern.shape != (n, n):
+            raise ShapeError(f"target pattern must be square, got {pattern.shape}")
+        self.shape = pattern.shape
+        indptr, indices = pattern.indptr, pattern.indices
+        self.flat = []
+        for a in range(0, n, IP_BCE_BLOCK):
+            b = min(n, a + IP_BCE_BLOCK)
+            rows = np.repeat(np.arange(b - a), np.diff(indptr[a:b + 1]))
+            cols = indices[indptr[a]:indptr[b]] - a
+            keep = cols >= 0
+            self.flat.append(rows[keep] * (n - a) + cols[keep])
+
+
+def inner_product_bce(z, target, eps=1e-7):
     """bce_matrix(sigmoid(z @ z.T), A) without forming an N x N array.
 
-    z is (N, d) and A the symmetric 0/1 matrix whose ones are the entries of
-    `pattern`, an (N, N) CSR matrix (its values are ignored).  The loss is the mean over all N * N entries with the same eps
+    z is (N, d) and `target` is A as a BceTarget, or as the (N, N) CSR
+    pattern of its ones (its values are ignored), from which the call builds
+    one.  The loss is the mean over all N * N entries with the same eps
     clamp as bce_matrix.  Z Z^T and A are symmetric, so the op walks row
     blocks of the upper triangle: block rows [a, b) against columns [a, N),
     where the leading square counts once per entry and every column past b
@@ -852,37 +880,33 @@ def inner_product_bce(z, pattern, eps=1e-7):
     if z.ndim != 2:
         raise ShapeError(f"inner_product_bce expects 2-d z, got {z.data.shape}")
     n = z.data.shape[0]
-    if pattern.shape != (n, n):
-        raise ShapeError(f"target pattern {pattern.shape} does not fit z {z.data.shape}")
+    if not isinstance(target, BceTarget):
+        target = BceTarget(target)
+    if target.shape != (n, n):
+        raise ShapeError(f"target pattern {target.shape} does not fit z {z.data.shape}")
     x = z.data
-    indptr, indices = pattern.indptr, pattern.indices
     want_grad = _recording and z.requires_grad
     dz = np.zeros_like(x) if want_grad else None
     total = 0.0
-    for a in range(0, n, IP_BCE_BLOCK):
+    for a, ones in zip(range(0, n, IP_BCE_BLOCK), target.flat):
         b = min(n, a + IP_BCE_BLOCK)
         s = x[a:b] @ x[a:].T
         np.negative(s, out=s)
         np.exp(s, out=s)
         s += 1.0
         np.divide(1.0, s, out=s)
-        # the block's ones: row r's sorted columns from a on
-        lengths = np.diff(indptr[a:b + 1])
-        rows = np.repeat(np.arange(b - a), lengths)
-        cols = indices[indptr[a]:indptr[b]] - a
-        keep = cols >= 0
-        ones = (rows[keep], cols[keep])
         # q = 1 - r where t = 0 and r where t = 1, for r = clip(s, eps, 1 - eps)
         q = np.clip(s, eps, 1.0 - eps)
-        r_ones = q[ones]
+        q_flat = q.reshape(-1)
+        r_ones = q_flat[ones]
         np.subtract(1.0, q, out=q)
-        q[ones] = r_ones
+        q_flat[ones] = r_ones
         np.log(q, out=q)
         total += q[:, :b - a].sum() + 2.0 * q[:, b - a:].sum()
         if want_grad:
             outside = (s <= eps) | (s >= 1.0 - eps)
-            s[ones] -= 1.0
-            s[outside] = 0.0
+            s.reshape(-1)[ones] -= 1.0
+            np.copyto(s, 0.0, where=outside)
             dz[a:b] += s @ x[a:]
             dz[b:] += s[:, b - a:].T @ x[a:b]
     size = float(n) * n

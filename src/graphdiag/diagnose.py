@@ -126,7 +126,7 @@ def train_node_level(architecture, g, masks, spec, n_classes=None):
     labels = g.labels[rows]
     if n_classes is None:
         n_classes = int(labels.max()) + 1
-    x = Tensor(gb.standardize(g.features))
+    x = g.derived(md.FirstLayerInputs).x
     y = one_hot(labels, n_classes)
     train, val = masks["train"][rows], masks["val"][rows]
     model = md.build_node_model(architecture, x.shape[1], n_classes, spec)
@@ -341,7 +341,11 @@ def evaluate_predictions(true, pred, n_classes, graph_quality=None,
 
 
 def predict_node_level(model, g, features=None):
-    x = Tensor(gb.standardize(g.features if features is None else features))
+    """Predicted class of every node, from g's features or from `features`."""
+    if features is None:
+        x = g.derived(md.FirstLayerInputs).x
+    else:
+        x = Tensor(gb.standardize(features))
     with ad.no_grad():
         return model.forward(x, g).data.argmax(axis=1)
 

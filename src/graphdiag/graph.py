@@ -5,11 +5,12 @@ per-node neighbor lists, with optional node features, labels, and
 train/val/test masks.  Self-loops are never stored; the +I used by the
 symmetric normalization is applied inside its operator only.
 
-Operators derived from a graph's structure (the sparse propagation matrices
-and the attention edge index) are built on first use and kept on the Graph,
-so every model that runs on the same graph shares one copy.  Their
-restrictions to a set of rows (the train and validation nodes of a fit) are
-kept too, for the latest set of rows asked for.
+Values derived from a graph (the sparse propagation matrices, the attention
+and pool edge indices, and the standardized features with the first-layer
+inputs made of them) are built on first use and kept on the Graph, so every
+model that runs on the same graph shares one copy.  Restrictions of an
+operator to a set of rows (the train and validation nodes of a fit) are kept
+too, for the latest set of rows asked for.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 DENSE_CAP = 4096
+# edges per write of write_edge_list: one block's Python ints and lines stay under 1 MB
+EDGE_WRITE_BLOCK = 4096
 
 
 class GraphError(ValueError):
@@ -96,11 +99,11 @@ class Graph:
     def derived(self, build, rows=None):
         """`build(self)`, computed on the first call for `build` and kept.
 
-        A Graph never changes after construction, so an operator derived
-        from its structure stays valid for the graph's lifetime.  With
-        `rows` (sorted node ids) the value is `build(self, rows)`, kept in
-        one slot per `build` until other rows are asked for: a fit asks for
-        the same rows every epoch, and the next fit for its own.
+        A Graph never changes after construction, so a value derived from
+        its structure or its features stays valid for the graph's lifetime.
+        With `rows` (sorted node ids) the value is `build(self, rows)`, kept
+        in one slot per `build` until other rows are asked for: a fit asks
+        for the same rows every epoch, and the next fit for its own.
         """
         if rows is None:
             try:
@@ -218,8 +221,9 @@ def permute(g, perm):
 def write_edge_list(path, g):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# nodes {g.n}\n")
-        for i, j in g.edges:
-            fh.write(f"{i} {j}\n")
+        for start in range(0, g.n_edges, EDGE_WRITE_BLOCK):
+            block = g.edges[start:start + EDGE_WRITE_BLOCK].tolist()
+            fh.write("".join(f"{i} {j}\n" for i, j in block))
 
 
 def read_edge_list(path, n=None):

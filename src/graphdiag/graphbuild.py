@@ -14,8 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import DENSE_CAP, Graph, GraphError, mean_propagation, sym_propagation
-from .models import GaeModel, default_spec
+from .graph import DENSE_CAP, Graph, GraphError, mean_propagation
+from .models import FirstLayerInputs, GaeModel, default_spec
 from .optim import fit
 
 # elements of each (rows, N) or (rows, candidates, d) array one KNN block may form
@@ -232,22 +232,20 @@ def prior_partition_graph(assignment, features=None, labels=None):
     return Graph(len(a), np.concatenate(pairs), features=features, labels=labels)
 
 
-def train_gae_on_graph(features, g, spec=None, rng_seed=None):
+def train_gae_on_graph(features, g, spec=None):
     """Fit a GAE to reconstruct g's adjacency from features; returns (A_hat, model, losses)."""
     if spec is None:
         spec = default_spec("gae")
-    if rng_seed is not None:
-        spec.seed = rng_seed
     if g.n > DENSE_CAP:
         raise GraphError(f"GAE's dense N x N decoder refused for n={g.n} > {DENSE_CAP}")
-    x = Tensor(standardize(features))
+    # g's own features are its cached constant, so the first layer's S x is computed once
+    x = g.derived(FirstLayerInputs).x if features is g.features else Tensor(standardize(features))
     model = GaeModel(x.shape[1], spec)
-    # the first layer's S x, constant across epochs; D^-1 A has A's ones as its pattern
-    sx = ad.propagate(sym_propagation(g), x)
-    pattern = mean_propagation(g)
+    # D^-1 A has A's ones as its pattern
+    target = ad.BceTarget(mean_propagation(g))
 
     def steps(epoch):
-        yield ad.inner_product_bce(model.encode(x, g, sx=sx), pattern), 1, None
+        yield ad.inner_product_bce(model.encode(x, g), target), 1, None
 
     trace = fit(model, spec, steps)
     with ad.no_grad():

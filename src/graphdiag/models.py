@@ -6,21 +6,25 @@ take `(x, g)` and read their operators from the per-Graph cache: GCN, the
 GraphSage mean and gcn aggregators, the GAE encoder and the STGCN sensor
 mixing propagate through a sparse normalized adjacency; GAT attention is one
 fused op, `ad.gat_aggregate`, over the cached A + I CSR pattern; the
-GraphSage pool aggregator runs on edge lists.  No layer forms a dense N x N
-matrix; only the GAE decoder's reconstruction `forward` is dense, and GAE
-training takes its loss from Z without it.  A 1-d conv layer (GCN's conv
-head, STGCN's temporal blocks, the 1d-CNN) is one `ad.conv1d` call that adds
-its bias, applies its ReLU and, in STGCN's and the 1d-CNN's pooled layers,
-max-pools inside the op, so it keeps one output array (and a uint8 argmax
-offset when it pools).  Dense, GCN and GraphSage layers are likewise one
-`ad.matmul` call with the bias and ReLU inside.
+GraphSage pool aggregator runs on the cached edge lists of a `PoolIndex`.
+When the input of a GCN, GraphSage (mean or gcn) or GAE first layer is the
+graph's standardized features, its propagated input (S X, or [X || agg X])
+is read from the graph's `FirstLayerInputs`: once per graph, not per epoch.
+No layer forms a dense N x N matrix; only the GAE decoder's reconstruction
+`forward` is dense, and GAE training takes its loss from Z without it.  A
+1-d conv layer (GCN's conv head, STGCN's temporal blocks, the 1d-CNN) is one
+`ad.conv1d` call that adds its bias, applies its ReLU and, in STGCN's and
+the 1d-CNN's pooled layers, max-pools inside the op, so it keeps one output
+array (and a uint8 argmax offset when it pools).  Dense, GCN and GraphSage
+layers are likewise one `ad.matmul` call with the bias and ReLU inside.
 
 The node-level models' `forward(x, g, rows)` computes the last graph layer
 and everything after it only at `rows`, sorted node ids, with their full
 neighbourhoods: training passes its train and validation nodes, so the
 masked loss computes no row that it would multiply by zero, and the rows
 equal those of the full forward (`rows=None`), which prediction uses.  GCN
-propagates through the row slice of its operator, GraphSage's second layer
+takes the rows of its kept S X (or propagates through the row slice of its
+operator when its input is not the graph's features), GraphSage's second layer
 through the slice of its mean or gcn operator, and GAT's second layer
 attends over a `GatEdgeIndex` of the rows' segments; the earlier layers
 stay full-graph.
@@ -103,6 +107,72 @@ def glorot(rng, shape):
 
 
 # ---------------------------------------------------------------------------
+# per-graph inputs and indices, built through g.derived
+
+class FirstLayerInputs:
+    """g's standardized features X and the first-layer inputs made of them:
+    S X, D^-1 A X and GraphSage's [X || agg X], each built on first use and
+    kept through `g.derived(FirstLayerInputs)`, so every epoch and every fit
+    on the graph shares one copy.  A layer reads them only when its input
+    *is* `x`; any other input is propagated.  A CSR product computes each
+    row on its own, so the rows of a kept product are the bytes of the
+    row-sliced operator's product.
+    """
+
+    def __init__(self, g):
+        self._features = g.features
+        self._x = None
+        self._kept = {}
+
+    @property
+    def x(self):
+        """The standardized features as a Tensor that requires no gradient."""
+        if self._x is None:
+            if self._features is None:
+                raise ValueError("graph carries no features")
+            # graphbuild imports this module, so standardize is imported at call time
+            from .graphbuild import standardize
+
+            self._x = Tensor(standardize(self._features))
+            self._x.data.setflags(write=False)
+        return self._x
+
+    def holds(self, x):
+        """Whether x is this graph's constant `x`."""
+        return x is self._x and not x.requires_grad
+
+    def propagated(self, g, op, rows=None):
+        """op(g) X, at `rows` only when given, as a constant Tensor."""
+        return self._kept_rows(op, lambda: ad.propagate(op(g), self.x), rows)
+
+    def with_aggregate(self, g, op, rows=None):
+        """[X || op(g) X], at `rows` only when given, as a constant Tensor."""
+        return self._kept_rows(("concat", op),
+                               lambda: ad.concat([self.x, self.propagated(g, op)], axis=1), rows)
+
+    def _kept_rows(self, key, build, rows):
+        value = self._kept.get(key)
+        if value is None:
+            value = self._kept[key] = build().data
+            value.setflags(write=False)
+        return Tensor(value if rows is None else value[rows])
+
+
+class PoolIndex:
+    """The GraphSage pool aggregator's edges: one segment per node that has
+    neighbours (`present`), holding its sorted neighbours (`src`), the rows
+    of the D^-1 A pattern.  Built once per graph through `g.derived(PoolIndex)`.
+    """
+
+    def __init__(self, g):
+        pattern = gr.mean_propagation(g)
+        self.present = np.flatnonzero(np.diff(pattern.indptr))
+        self.src = pattern.indices.astype(np.intp)
+        self.seg = ad.SegmentIndex(pattern.indptr[self.present], pattern.nnz)
+        self.src_plan = ad.GatherPlan(self.src, g.n)
+
+
+# ---------------------------------------------------------------------------
 # layers
 
 class GcnLayer:
@@ -114,10 +184,13 @@ class GcnLayer:
         self.activation = activation
         self.params = [self.theta]
 
-    def __call__(self, x, g, sx=None, rows=None):
-        """act(S x Theta), at `rows` only when given; a caller whose x never
-        changes passes sx = S x once computed."""
-        if sx is None:
+    def __call__(self, x, g, rows=None):
+        """act(S x Theta), at `rows` only when given; S x of g's standardized
+        features is read from g's FirstLayerInputs."""
+        inputs = g.derived(FirstLayerInputs)
+        if inputs.holds(x):
+            sx = inputs.propagated(g, gr.sym_propagation, rows)
+        else:
             sx = ad.propagate(gr.sym_propagation(g, rows), x)
         return ad.matmul(sx, self.theta, relu=self.activation == "relu")
 
@@ -211,32 +284,27 @@ class SageLayer:
 
     def __call__(self, x, g, rows=None):
         """The layer's output at every node, or at `rows` only when given;
-        the pool aggregator pools at every node and then takes the rows."""
-        if self.aggregator == "mean":
-            agg = ad.propagate(gr.mean_propagation(g, rows), x)
-        elif self.aggregator == "gcn":
-            agg = ad.propagate(gr.sym_propagation(g, rows), x)
+        the pool aggregator pools at every node and then takes the rows.
+        [x || agg x] of g's standardized features, for the mean and gcn
+        aggregators, is read from g's FirstLayerInputs."""
+        op = {"mean": gr.mean_propagation, "gcn": gr.sym_propagation}.get(self.aggregator)
+        inputs = g.derived(FirstLayerInputs)
+        if op is not None and inputs.holds(x):
+            both = inputs.with_aggregate(g, op, rows)
         else:
-            agg = self._pool_aggregate(x, g)
-            if rows is not None:
-                agg = ad.take_rows(agg, rows)
-        if rows is not None:
-            x = ad.take_rows(x, rows)
-        return ad.matmul(ad.concat([x, agg], axis=1), self.w,
-                         relu=self.activation == "relu")
+            agg = self._pool_aggregate(x, g, rows) if op is None else ad.propagate(op(g, rows), x)
+            both = ad.concat([x if rows is None else ad.take_rows(x, rows), agg], axis=1)
+        return ad.matmul(both, self.w, relu=self.activation == "relu")
 
-    def _pool_aggregate(self, x, g):
-        # neighbor lists are the rows of the D^-1 A pattern; isolated rows are empty
-        pattern = gr.mean_propagation(g)
-        if not pattern.nnz:
-            return Tensor(np.zeros_like(x.data))
-        present = np.flatnonzero(np.diff(pattern.indptr))
-        seg = ad.SegmentIndex(pattern.indptr[present], pattern.nnz)
-        src = pattern.indices.astype(np.intp)
-        transformed = ad.matmul(x, self.w_pool, self.b_pool, relu=True)
-        gathered = ad.take_rows(transformed, src, ad.GatherPlan(src, g.n))
-        pooled = ad.segment_max(gathered, seg)
-        return ad.put_rows(pooled, present, g.n)
+    def _pool_aggregate(self, x, g, rows=None):
+        index = g.derived(PoolIndex)
+        if not len(index.src):
+            pooled = Tensor(np.zeros_like(x.data))
+        else:
+            transformed = ad.matmul(x, self.w_pool, self.b_pool, relu=True)
+            gathered = ad.take_rows(transformed, index.src, index.src_plan)
+            pooled = ad.put_rows(ad.segment_max(gathered, index.seg), index.present, g.n)
+        return pooled if rows is None else ad.take_rows(pooled, rows)
 
 
 class Dense:
@@ -357,9 +425,9 @@ class GaeModel:
         self.enc2 = GcnLayer(hidden, latent, rng, activation="identity", name="enc2")
         self.params = self.enc1.params + self.enc2.params
 
-    def encode(self, x, g, sx=None):
-        """Embedding Z; sx = S x is the first layer's propagated input, if known."""
-        return self.enc2(self.enc1(x, g, sx=sx), g)
+    def encode(self, x, g):
+        """Embedding Z."""
+        return self.enc2(self.enc1(x, g), g)
 
     def logits(self, x, g):
         z = self.encode(x, g)

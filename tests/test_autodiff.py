@@ -824,6 +824,69 @@ class TestBceLogits:
         assert_close_rel(grad, ref_grad)
 
 
+def ip_bce_per_call(x, pattern, eps=1e-7):
+    """(loss, dZ) of inner_product_bce's row-block walk as it was when each
+    call indexed every block's ones anew, with 2-d fancy indices."""
+    n = x.shape[0]
+    indptr, indices = pattern.indptr, pattern.indices
+    dz = np.zeros_like(x)
+    total = 0.0
+    for a in range(0, n, ad.IP_BCE_BLOCK):
+        b = min(n, a + ad.IP_BCE_BLOCK)
+        s = x[a:b] @ x[a:].T
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        lengths = np.diff(indptr[a:b + 1])
+        rows = np.repeat(np.arange(b - a), lengths)
+        cols = indices[indptr[a]:indptr[b]] - a
+        keep = cols >= 0
+        ones = (rows[keep], cols[keep])
+        q = np.clip(s, eps, 1.0 - eps)
+        r_ones = q[ones]
+        np.subtract(1.0, q, out=q)
+        q[ones] = r_ones
+        np.log(q, out=q)
+        total += q[:, :b - a].sum() + 2.0 * q[:, b - a:].sum()
+        outside = (s <= eps) | (s >= 1.0 - eps)
+        s[ones] -= 1.0
+        s[outside] = 0.0
+        dz[a:b] += s @ x[a:]
+        dz[b:] += s[:, b - a:].T @ x[a:b]
+    size = float(n) * n
+    dz *= 2.0 / size
+    return -total / size, dz
+
+
+class TestBceTarget:
+    """inner_product_bce over a BceTarget built once gives the bytes of the
+    walk that indexed the target's ones on every call."""
+
+    @pytest.mark.parametrize("seed,n", [(0, 131), (1, 150), (2, 64)])
+    def test_loss_and_gradient_bytes_match_the_per_call_index(self, seed, n):
+        rng = np.random.default_rng(seed)
+        z, pattern, target = ip_bce_case(rng, n, isolated=3, saturated=4)
+        assert not target[-1].any()
+        loss_want, dz_want = ip_bce_per_call(z, pattern)
+        kept = ad.BceTarget(pattern)
+        for t in (pattern, kept, kept):
+            zp = ad.Parameter(z.copy())
+            loss = ad.inner_product_bce(zp, t)
+            loss.backward()
+            assert loss.data.tobytes() == np.float64(loss_want).tobytes()
+            assert zp.grad.tobytes() == dz_want.tobytes()
+
+    def test_block_indices(self):
+        g = gr.Graph(3, [(0, 1), (1, 2)])
+        kept = ad.BceTarget(gr.mean_propagation(g))
+        assert kept.shape == (3, 3)
+        # one block of 3 x 3: the ones (0, 1), (1, 0), (1, 2), (2, 1)
+        assert [f.tolist() for f in kept.flat] == [[1, 3, 5, 7]]
+        with pytest.raises(ad.ShapeError, match="square"):
+            ad.BceTarget(sparse.csr_matrix((3, 4)))
+
+
 class TestInnerProductBce:
     """The blocked walk of inner_product_bce: sizes on and across block edges, memory."""
 

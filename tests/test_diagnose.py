@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graphdiag import autodiff as ad
 from graphdiag import diagnose as dg
 from graphdiag import faultgen as fg
 from graphdiag import graphbuild as gb
@@ -179,6 +180,44 @@ class TestTrainNodeLevel:
         want = np.flatnonzero(masks["train"] | masks["val"])
         assert len(calls) == 3
         assert all(len(rest) == 1 and np.array_equal(rest[0], want) for rest in calls)
+
+    @pytest.mark.parametrize("arch,widths", [
+        ("gcn", {"gc": 8, "conv": (4,), "hidden": 8}),
+        ("graphsage", {"hidden": 8, "aggregator": "mean"}),
+        ("graphsage", {"hidden": 8, "aggregator": "gcn"}),
+    ])
+    def test_constant_features_are_propagated_once_per_graph(self, arch, widths, monkeypatch):
+        g = clustered_graph(np.random.default_rng(8))
+        operands = []
+        propagate = ad.propagate
+
+        def recorded(s, x):
+            operands.append(x)
+            return propagate(s, x)
+
+        monkeypatch.setattr(ad, "propagate", recorded)
+        spec = md.default_spec(arch, epochs=4, widths=widths)
+        for seed in range(2):
+            masks = dg.split(g.labels, dg.SplitSpec(12, 6, seed=seed))
+            model, _ = dg.train_node_level(arch, g, masks, spec)
+            dg.predict_node_level(model, g)
+        x = g.derived(md.FirstLayerInputs).x
+        assert sum(operand is x for operand in operands) == 1
+        # GCN has no other graph layer; GraphSage's second propagates each forward
+        assert len(operands) == (1 if arch == "gcn" else 1 + 2 * (4 + 1))
+
+    @pytest.mark.parametrize("arch", ["gcn", "graphsage"])
+    def test_prediction_on_other_features_reads_no_kept_input(self, arch, monkeypatch):
+        g = clustered_graph(np.random.default_rng(9))
+        masks = dg.split(g.labels, dg.SplitSpec(12, 6, seed=0))
+        spec = md.default_spec(arch, epochs=3, widths=self.spec(arch).widths)
+        model, _ = dg.train_node_level(arch, g, masks, spec)
+        other = np.random.default_rng(10).normal(size=g.features.shape)
+        want = dg.predict_node_level(model, g.with_data(features=other))
+        for name in ("propagated", "with_aggregate"):
+            monkeypatch.setattr(md.FirstLayerInputs, name,
+                                lambda *a, **k: pytest.fail("read the kept inputs"))
+        assert np.array_equal(dg.predict_node_level(model, g, features=other), want)
 
     def test_empty_train_mask_rejected(self):
         rng = np.random.default_rng(5)

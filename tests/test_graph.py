@@ -222,6 +222,18 @@ class TestEdgeListFile:
         back = gr.read_edge_list(path, n=5)
         assert back == g
 
+    @pytest.mark.parametrize("block", [gr.EDGE_WRITE_BLOCK, 7])
+    def test_bytes_match_the_per_edge_writer(self, tmp_path, block, monkeypatch):
+        monkeypatch.setattr(gr, "EDGE_WRITE_BLOCK", block)
+        path = tmp_path / "g.edges"
+        for g in (random_graph(np.random.default_rng(5), 30), gr.Graph(4, []), gr.Graph(0, [])):
+            gr.write_edge_list(path, g)
+            # the numpy scalars of each edge row, formatted one line at a time
+            want = f"# nodes {g.n}\n" + "".join(f"{i} {j}\n" for i, j in g.edges)
+            assert path.read_bytes() == want.encode()
+            back = gr.read_edge_list(path)
+            assert back.n == g.n and back == g
+
     def test_comments_and_duplicates(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("# comment\n0 1\n1 0\n0 1\n")

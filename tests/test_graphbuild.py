@@ -379,6 +379,24 @@ class TestGaeRefine:
         _, _, trace = gb.train_gae_on_graph(f, base, spec)
         assert trace[-1] < trace[0]
 
+    def test_first_layer_input_is_propagated_once_per_graph(self, monkeypatch):
+        f, _ = two_cluster_features(np.random.default_rng(16))
+        base = gb.knn_graph(f, 3)
+        operands = []
+        propagate = ad.propagate
+
+        def recorded(s, x):
+            operands.append(x)
+            return propagate(s, x)
+
+        monkeypatch.setattr(ad, "propagate", recorded)
+        for _ in range(2):
+            gb.train_gae_on_graph(base.features, base, md.default_spec("gae", epochs=5))
+        x = base.derived(md.FirstLayerInputs).x
+        assert sum(operand is x for operand in operands) == 1
+        # the second layer propagates in each of the 5 epochs and the final forward
+        assert len(operands) == 1 + 2 * (5 + 1)
+
     def test_fused_loss_trace_matches_composition(self):
         rng = np.random.default_rng(15)
         f = rng.normal(size=(30, 5))

@@ -407,6 +407,114 @@ class TestRowsPath:
             model.forward(Tensor(np.zeros((6, 3))), g, rows)
 
 
+FIRST_LAYER_CASES = [
+    ("gcn", {"gc": 8, "conv": (2, 2), "hidden": 4}),
+    ("graphsage", {"hidden": 5, "aggregator": "mean"}),
+    ("graphsage", {"hidden": 5, "aggregator": "gcn"}),
+]
+
+
+def forward_and_gradients(model, x, g, rows):
+    """Output bytes of a masked-loss forward and the gradients it gives."""
+    for p in model.params + [x]:
+        p.grad = None
+    y = np.eye(3)[np.arange(g.n) % 3]
+    mask = np.ones(g.n, dtype=bool)
+    if rows is not None:
+        y, mask = y[rows], mask[rows]
+    out = model.forward(x, g, rows)
+    ad.cross_entropy(out, y, mask).backward()
+    return [out.data.tobytes()] + [p.grad.tobytes() for p in model.params]
+
+
+class TestFirstLayerInputs:
+    """A first layer reads g's kept S X or [X || agg X] only when its input is
+    g's standardized features, and gives propagate's bytes either way."""
+
+    @pytest.mark.parametrize("arch,widths", FIRST_LAYER_CASES)
+    def test_kept_inputs_give_the_propagate_bytes(self, arch, widths, monkeypatch):
+        for seed in range(3):
+            g, x, rows = rows_case(seed)
+            g = g.with_data(features=x)
+            inputs = g.derived(md.FirstLayerInputs)
+            model = md.build_node_model(arch, 3, 3, small_spec(arch, widths=widths))
+            kept = {str(r): forward_and_gradients(model, inputs.x, g, r) for r in (None, rows)}
+            # other features, and features that require a gradient, never read the cache
+            with monkeypatch.context() as m:
+                for name in ("propagated", "with_aggregate"):
+                    m.setattr(md.FirstLayerInputs, name,
+                              lambda *a, **k: pytest.fail("read the kept inputs"))
+                for other in (Tensor(inputs.x.data.copy()), ad.Parameter(inputs.x.data.copy())):
+                    for r in (None, rows):
+                        assert forward_and_gradients(model, other, g, r) == kept[str(r)]
+                    assert (other.grad is not None) == other.requires_grad
+
+    def test_inputs_are_kept_per_graph_and_read_only(self):
+        g, x, _ = rows_case(0)
+        g = g.with_data(features=x)
+        inputs = g.derived(md.FirstLayerInputs)
+        assert g.derived(md.FirstLayerInputs) is inputs and inputs.x is inputs.x
+        assert inputs.x.data.tobytes() == gb.standardize(x).tobytes()
+        assert not inputs.x.requires_grad and not inputs.x.data.flags.writeable
+        sx = inputs.propagated(g, gr.sym_propagation).data
+        assert sx.tobytes() == (gr.sym_propagation(g) @ inputs.x.data).tobytes()
+        both = inputs.with_aggregate(g, gr.mean_propagation).data
+        assert both.tobytes() == np.concatenate(
+            [inputs.x.data, gr.mean_propagation(g) @ inputs.x.data], axis=1).tobytes()
+        assert not sx.flags.writeable and not both.flags.writeable
+        with pytest.raises(ValueError, match="no features"):
+            gr.Graph(3, [(0, 1)]).derived(md.FirstLayerInputs).x
+
+
+def pool_aggregate_per_call(layer, x, g):
+    """The pool aggregator as it was composed on every call, before its
+    index was kept per graph."""
+    pattern = gr.mean_propagation(g)
+    if not pattern.nnz:
+        return Tensor(np.zeros_like(x.data))
+    present = np.flatnonzero(np.diff(pattern.indptr))
+    seg = ad.SegmentIndex(pattern.indptr[present], pattern.nnz)
+    src = pattern.indices.astype(np.intp)
+    transformed = ad.matmul(x, layer.w_pool, layer.b_pool, relu=True)
+    gathered = ad.take_rows(transformed, src, ad.GatherPlan(src, g.n))
+    pooled = ad.segment_max(gathered, seg)
+    return ad.put_rows(pooled, present, g.n)
+
+
+class TestPoolIndex:
+    def test_aggregate_and_gradients_match_the_per_call_composition(self):
+        cases = [rows_case(seed)[:2] for seed in range(3)]
+        cases.append((gr.Graph(4, []), np.random.default_rng(3).normal(size=(4, 3))))
+        for g, x in cases:
+            rng = np.random.default_rng(g.n_edges)
+            layer = md.SageLayer(3, 4, rng, aggregator="pool")
+            weights = Tensor(rng.normal(size=(g.n, 3)))
+            results = []
+            for aggregate in (layer._pool_aggregate,
+                              lambda x, g: pool_aggregate_per_call(layer, x, g)):
+                xp = ad.Parameter(x.copy())
+                for p in layer.params:
+                    p.grad = None
+                out = aggregate(xp, g)
+                ad.sum_(ad.mul(out, weights)).backward()
+                grads = [xp.grad, layer.w_pool.grad, layer.b_pool.grad]
+                results.append([out.data.tobytes()] + [
+                    None if grad is None else grad.tobytes() for grad in grads])
+            assert results[0] == results[1]
+
+    def test_index_built_once_per_graph(self, monkeypatch):
+        g, x, _ = rows_case(1)
+        built = []
+        init = md.PoolIndex.__init__
+        monkeypatch.setattr(md.PoolIndex, "__init__",
+                            lambda self, graph: built.append(graph) or init(self, graph))
+        model = md.build_node_model("graphsage", 3, 3,
+                                    small_spec("graphsage", widths={"aggregator": "pool"}))
+        for _ in range(3):
+            model.forward(Tensor(x), g)
+        assert built == [g]
+
+
 class TestGae:
     def test_reconstruction_symmetric_and_bounded(self):
         rng = np.random.default_rng(21)
