@@ -8,7 +8,8 @@ optional bias and ReLU applied to its output in place, so a dense layer is
 one node that keeps one array), propagation through a constant sparse graph
 operator, pointwise nonlinearities, edge-list gather / scatter / segment
 ops, GAT attention as one fused op (gat_aggregate: scores, segment softmax
-and weighted neighbour sum, with a hand-written backward), 1-d convolution
+and weighted neighbour sum, with a hand-written backward by sparse products
+that forms no per-edge gradient), 1-d convolution
 (conv1d: per-tap GEMMs over cache-sized row blocks of the batch, broadcast
 products when Fin == 1, and an optional bias, ReLU and max pooling applied
 to each block in cache, so a conv layer is one node that keeps one array,
@@ -703,26 +704,35 @@ def gat_attention(xp, a_self, a_nbr, ei, slope):
 
     xp is (N, H, C) and a_self, a_nbr are (H, C).  `ei.seg` splits the
     edges into one non-empty segment per destination node `ei.dst`, which
-    are sorted node ids (every node, or a subset), and `ei.src` is each
-    edge's source.  With s = (xp * a).sum(-1), edge (i, j) scores
-    LeakyReLU(s_self[i] + s_nbr[j]) with slope in [0, 1], and
-    alpha (E, H) is the softmax of the scores within each segment, shifted
-    by the segment max.  Returns alpha and the LeakyReLU's derivative per
-    edge (1 or slope).  It is not an op, so it is not in __all__.
+    are sorted node ids (every node, or a subset); `ei.src` is each edge's
+    source and `ei.edge_dst` its segment.  With s = (xp * a).sum(-1), edge
+    (i, j) scores LeakyReLU(s_self[i] + s_nbr[j]) with slope in [0, 1], and
+    alpha is the softmax of the scores within each segment, shifted by the
+    segment max.  Returns alpha and the LeakyReLU's derivative per edge
+    (1 or slope), each (H, E): the scores run head by head over contiguous
+    (E,) rows.  It is not an op, so it is not in __all__.
     """
     if not 0.0 <= slope <= 1.0:
         raise ValueError(f"LeakyReLU slope must lie in [0, 1], got {slope}")
-    seg = ei.seg
-    s_self = (xp[ei.dst] * a_self).sum(axis=2)
-    s_nbr = (xp * a_nbr).sum(axis=2)
-    raw = np.repeat(s_self, seg.lengths, axis=0) + np.take(s_nbr, ei.src, axis=0)
-    # max(True, slope) = 1 and max(False, slope) = slope, without np.where's branches
-    scale = np.maximum(raw > 0, slope)
-    e = raw * scale
-    e -= np.repeat(np.maximum.reduceat(e, seg.starts, axis=0), seg.lengths, axis=0)
-    np.exp(e, out=e)
-    e /= np.repeat(seg.matrix @ e, seg.lengths, axis=0)
-    return e, scale
+    seg, src, edge_dst = ei.seg, ei.src, ei.edge_dst
+    s_self = (xp[ei.dst] * a_self).sum(axis=2).T.copy()
+    s_nbr = (xp * a_nbr).sum(axis=2).T.copy()
+    alpha = np.empty((xp.shape[1], seg.total))
+    scale = np.empty_like(alpha)
+    for h, e in enumerate(alpha):
+        raw = np.take(s_self[h], edge_dst) + np.take(s_nbr[h], src)
+        # max(True, slope) = 1 and max(False, slope) = slope, without np.where's branches
+        np.maximum(raw > 0, slope, out=scale[h])
+        np.multiply(raw, scale[h], out=e)
+        e -= np.take(np.maximum.reduceat(e, seg.starts), edge_dst)
+        np.exp(e, out=e)
+        e /= np.take(seg.matrix @ e, edge_dst)
+    return alpha, scale
+
+
+def _rowwise_dot(a, b, out=None):
+    """<a[k], b[k]> for each row k of two (K, C) arrays."""
+    return np.einsum("kc,kc->k", a, b, out=out)
 
 
 def gat_aggregate(xp, a_self, a_nbr, ei, slope):
@@ -730,12 +740,19 @@ def gat_aggregate(xp, a_self, a_nbr, ei, slope):
     op: (N, H, C) -> (len(ei.dst), H, C).
 
     alpha is gat_attention's.  The sum is one CSR matmul per head over the
-    edge pattern with alpha[:, h] as data, so no (E, H, C) message tensor is
-    built.  The hand-written backward sends g back through the transposed
-    CSR, takes dalpha as the sampled product (g[dst] * xp[src]).sum(-1),
-    applies the softmax and LeakyReLU backward, and routes the score
-    gradients to xp, a_self and a_nbr through segment and scatter sums, the
-    self scores' into the `dst` rows.
+    edge pattern with alpha[h] as data, so no (E, H, C) message tensor is
+    built.  The hand-written backward forms no per-edge gradient either:
+    with beta = alpha * scale (scale 1 or the slope), B the pattern with
+    beta[h] as data and g the output gradient, each head's score gradients
+    are sparse products,
+
+        c_i       = sum_e alpha_e dalpha_e = <g_i, out_i>
+        ds_self_i = <g_i, P_i[:C]> - c_i P_i[C],   P = B [xp | 1],
+        ds_nbr_j  = <Q_j[:C], xp_j> - Q_j[C],     Q = B^T [g | c],
+
+    and dxp sends g back through the transposed pattern with alpha[h] as
+    data.  The score gradients reach xp, a_self and a_nbr through the
+    attention vectors, the self scores' into the `dst` rows.
     """
     from scipy import sparse
 
@@ -751,29 +768,34 @@ def gat_aggregate(xp, a_self, a_nbr, ei, slope):
         raise ShapeError(f"edge index into {len(dst)} of {ei.n} nodes over {len(src)} edges "
                          f"does not fit features of {n} nodes")
     alpha, scale = gat_attention(xp.data, a_self.data, a_nbr.data, ei, slope)
-    # one CSR over the edge pattern; each head swaps in its alpha column as data
-    weights = sparse.csr_matrix((alpha[:, 0], src, np.append(seg.starts, seg.total)),
+    # one CSR over the edge pattern; each head swaps in its row of alpha as data
+    weights = sparse.csr_matrix((alpha[0], src, np.append(seg.starts, seg.total)),
                                 shape=(len(dst), n))
     out = np.empty((len(dst), heads, channels))
     for h in range(heads):
-        weights.data = alpha[:, h]
+        weights.data = alpha[h]
         out[:, h] = weights @ xp.data[:, h]
 
     def backward(g):
         x = xp.data
         dxp = np.empty_like(x)
+        ds_self = np.empty((len(dst), heads))
+        ds_nbr = np.empty((n, heads))
+        g_c = np.empty((len(dst), channels + 1))        # [g_h | c_h]
+        x_1 = np.ones((n, channels + 1))                # [x_h | 1]
         transposed = weights.T
         for h in range(heads):
-            transposed.data = alpha[:, h]
-            dxp[:, h] = transposed @ g[:, h]
-        # dalpha one channel at a time: (E, H) temporaries in place of (E, H, C)
-        dalpha = np.zeros_like(alpha)
-        for c in range(channels):
-            dalpha += np.repeat(g[:, :, c], seg.lengths, axis=0) * np.take(x[:, :, c], src, axis=0)
-        ds = alpha * (dalpha - np.repeat(seg.matrix @ (alpha * dalpha), seg.lengths, axis=0))
-        ds *= scale
-        ds_self = seg.matrix @ ds
-        ds_nbr = ei.src_plan.matrix @ ds
+            g_h = g[:, h]
+            x_1[:, :channels] = x[:, h]
+            transposed.data = alpha[h]
+            dxp[:, h] = transposed @ g_h
+            weights.data = transposed.data = alpha[h] * scale[h]
+            g_c[:, :channels] = g_h
+            c = _rowwise_dot(g_h, out[:, h], out=g_c[:, channels])
+            p = weights @ x_1
+            ds_self[:, h] = _rowwise_dot(g_h, p[:, :channels]) - c * p[:, channels]
+            q = transposed @ g_c
+            ds_nbr[:, h] = _rowwise_dot(q[:, :channels], x[:, h]) - q[:, channels]
         step = ds_nbr[:, :, None] * a_nbr.data
         step[dst] += ds_self[:, :, None] * a_self.data
         dxp += step

@@ -200,18 +200,20 @@ class GatEdgeIndex:
 
     `dst` is every node, or the sorted `rows` when given; `seg` holds each
     destination's run of edges and `src` their sources, sorted, as in the
-    cached A + I pattern; every node has its self loop, so no segment is
-    empty.  Built once per graph, or per set of rows, through
-    `g.derived(GatEdgeIndex, rows)`.
+    cached A + I pattern, and `edge_dst` each edge's segment, the position
+    of its destination in `dst`; every node has its self loop, so no segment
+    is empty.  Built once per graph, or per set of rows, through
+    `g.derived(GatEdgeIndex, rows)`, so `ad.gat_aggregate` gathers its
+    per-edge scores through these arrays and builds no index per call.
     """
 
     def __init__(self, g, rows=None):
         pattern = gr.sym_propagation(g, rows)
         self.n = g.n
         self.dst = np.arange(g.n) if rows is None else rows
-        self.src = pattern.indices
+        self.src = pattern.indices.astype(np.intp)
         self.seg = ad.SegmentIndex(pattern.indptr[:-1], pattern.nnz)
-        self.src_plan = ad.GatherPlan(self.src, g.n)
+        self.edge_dst = np.repeat(np.arange(len(self.dst)), self.seg.lengths)
 
 
 class GatLayer:
@@ -251,11 +253,10 @@ class GatLayer:
         xp = (x.data @ self.w.data).reshape(g.n, self.heads, self.c_out)
         alpha = ad.gat_attention(xp, self.a_self.data, self.a_nbr.data, ei,
                                  self.LEAKY_SLOPE)[0]
-        dst = np.repeat(ei.dst, ei.seg.lengths)
         mats = []
-        for h in range(self.heads):
+        for alpha_h in alpha:
             mat = np.zeros((g.n, g.n))
-            mat[dst, ei.src] = alpha[:, h]
+            mat[ei.dst[ei.edge_dst], ei.src] = alpha_h
             mats.append(mat)
         return mats
 

@@ -594,6 +594,32 @@ def test_conv_layer_does_not_depend_on_blas_thread_count():
     assert digests[0] == digests[1]
 
 
+# gat_aggregate's output and its three gradients at GAT's first-layer shape
+# (8 heads of 8 channels) on a k = 45 KNN graph, over every node and over a
+# subset of rows, hashed: its sparse products and per-row dots must not
+# depend on threads.
+GAT_SCRIPT = """
+import hashlib
+import numpy as np
+from graphdiag import autodiff as ad, graphbuild as gb, models as md
+rng = np.random.default_rng(0)
+g = gb.knn_graph(rng.normal(size=(1000, 6)), 45)
+digest = hashlib.sha256()
+for rows in (None, np.sort(rng.choice(g.n, 80, replace=False))):
+    params = [ad.Parameter(rng.normal(size=s)) for s in ((g.n, 8, 8), (8, 8), (8, 8))]
+    out = ad.gat_aggregate(*params, md.GatEdgeIndex(g, rows), md.GatLayer.LEAKY_SLOPE)
+    out.backward(rng.normal(size=out.shape))
+    digest.update(out.data.tobytes() + b"".join(p.grad.tobytes() for p in params))
+print(digest.hexdigest())
+"""
+
+
+@needs_two_cpus
+def test_gat_kernel_does_not_depend_on_blas_thread_count():
+    digests = digests_by_blas_threads(GAT_SCRIPT)
+    assert digests[0] == digests[1]
+
+
 # A preset's samples and the KNN table over its standardized features,
 # hashed.  The GEMM's approximate distances may round otherwise on two
 # threads; the exact re-rank must leave the table unchanged.
