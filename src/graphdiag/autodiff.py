@@ -75,9 +75,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data)
-
     # arithmetic sugar
     def __add__(self, other):
         return add(self, _as_tensor(other))

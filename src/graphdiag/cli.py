@@ -42,9 +42,20 @@ def _master_seed(args):
     return 0
 
 
+def _int_list(text, option):
+    """The distinct integers of a comma-separated option value."""
+    try:
+        values = [int(s) for s in str(text).split(",")]
+    except ValueError:
+        raise ConfigError(f"{option} must be comma-separated integers, got {text!r}") from None
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{option} repeats a value: {text!r}")
+    return values
+
+
 def _seeds(args):
     if args.seeds:
-        return [int(s) for s in args.seeds.split(",")]
+        return _int_list(args.seeds, "--seeds")
     master = _master_seed(args)
     return [fg.seed_stream(master, f"run/{i}") % (2 ** 31) for i in range(5)]
 
@@ -64,6 +75,14 @@ def _node_features(dataset):
     if dataset.is_timeseries:
         return gb.extract_feature_matrix(dataset.samples)
     return dataset.samples
+
+
+def _check_graph_options(args):
+    """--k and --tau, checked before any data loads."""
+    if not (isinstance(args.k, int) and args.k >= 1):
+        raise ConfigError(f"--k must be a whole number of at least 1, got {args.k!r}")
+    if not (isinstance(args.tau, (int, float)) and 0 < args.tau < 1):
+        raise ConfigError(f"--tau must be a number strictly between 0 and 1, got {args.tau!r}")
 
 
 def _build_graph(args, dataset, features):
@@ -132,6 +151,7 @@ def cmd_generate(args):
 
 
 def cmd_build_graph(args):
+    _check_graph_options(args)
     dataset = _load_dataset(args)
     features = _node_features(dataset)
     g = _build_graph(args, dataset, features)
@@ -147,8 +167,9 @@ def cmd_build_graph(args):
 
 def cmd_train(args):
     specs = _model_specs(args)
-    dataset = _load_dataset(args)
+    _check_graph_options(args)
     seeds = _seeds(args)
+    dataset = _load_dataset(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     g = (_build_graph(args, dataset, _node_features(dataset))
@@ -182,10 +203,10 @@ def cmd_curve(args):
     if args.sensor_graph_from_test:
         raise ConfigError("curve builds each STGCN sensor graph from its train split; "
                           "--sensor-graph-from-test applies to train only")
-    dataset = _load_dataset(args)
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes \
-        else list(range(10, 101, 10))
+    _check_graph_options(args)
+    sizes = _int_list(args.sizes, "--sizes") if args.sizes else list(range(10, 101, 10))
     seeds = _seeds(args)
+    dataset = _load_dataset(args)
     curve = dg.learning_curve(lambda: _build_graph(args, dataset, _node_features(dataset)),
                               dataset, specs, sizes, seeds, n_val=args.val_size)
     out = Path(args.out)

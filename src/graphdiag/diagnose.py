@@ -23,9 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .graph import Graph
-from . import graphbuild as gb
 from . import models as md
 from .faultgen import seed_stream
 from .optim import DivergenceError, fit  # noqa: F401  (DivergenceError re-exported)
@@ -35,7 +33,6 @@ from .optim import DivergenceError, fit  # noqa: F401  (DivergenceError re-expor
 class SplitSpec:
     n_train: int
     n_val: int
-    stratified: bool = True
     seed: int = 0
 
 
@@ -55,49 +52,44 @@ def split(labels, spec):
     rng = np.random.default_rng(spec.seed)
     train = np.zeros(n, dtype=bool)
     val = np.zeros(n, dtype=bool)
-    if spec.stratified:
-        classes = np.unique(labels)
-        if spec.n_train < len(classes):
-            raise ValueError(
-                f"n_train={spec.n_train} cannot cover {len(classes)} classes")
-        train_idx, val_idx = [], []
-        # largest-remainder apportionment of per-class quotas
-        for picks, total in ((train_idx, spec.n_train), (val_idx, spec.n_val)):
-            taken = train  # already-claimed nodes
-            counts = np.array([np.sum((labels == c) & ~taken) for c in classes])
-            avail = counts.sum()
-            if total == 0:
-                continue
-            quota = counts * total / avail
-            base = np.floor(quota).astype(int)
-            if picks is train_idx:
-                base = np.maximum(base, 1)
-            short = total - base.sum()
-            if short > 0:
-                order = np.argsort(-(quota - np.floor(quota)), kind="stable")
-                for c in order[:short]:
-                    base[c] += 1
-            elif short < 0:
-                order = np.argsort(quota - np.floor(quota), kind="stable")
-                for c in order:
-                    if short == 0:
-                        break
-                    floor_c = 1 if picks is train_idx else 0
-                    if base[c] > floor_c:
-                        base[c] -= 1
-                        short += 1
-            for c, take in zip(classes, base):
-                pool = np.flatnonzero((labels == c) & ~train & ~val)
-                chosen = rng.choice(pool, size=min(take, len(pool)), replace=False)
-                picks.extend(chosen.tolist())
-            if picks is train_idx:
-                train[np.asarray(picks, dtype=np.intp)] = True
-            else:
-                val[np.asarray(picks, dtype=np.intp)] = True
-    else:
-        perm = rng.permutation(n)
-        train[perm[:spec.n_train]] = True
-        val[perm[spec.n_train:spec.n_train + spec.n_val]] = True
+    classes = np.unique(labels)
+    if spec.n_train < len(classes):
+        raise ValueError(
+            f"n_train={spec.n_train} cannot cover {len(classes)} classes")
+    train_idx, val_idx = [], []
+    # largest-remainder apportionment of per-class quotas
+    for picks, total in ((train_idx, spec.n_train), (val_idx, spec.n_val)):
+        taken = train  # already-claimed nodes
+        counts = np.array([np.sum((labels == c) & ~taken) for c in classes])
+        avail = counts.sum()
+        if total == 0:
+            continue
+        quota = counts * total / avail
+        base = np.floor(quota).astype(int)
+        if picks is train_idx:
+            base = np.maximum(base, 1)
+        short = total - base.sum()
+        if short > 0:
+            order = np.argsort(-(quota - np.floor(quota)), kind="stable")
+            for c in order[:short]:
+                base[c] += 1
+        elif short < 0:
+            order = np.argsort(quota - np.floor(quota), kind="stable")
+            for c in order:
+                if short == 0:
+                    break
+                floor_c = 1 if picks is train_idx else 0
+                if base[c] > floor_c:
+                    base[c] -= 1
+                    short += 1
+        for c, take in zip(classes, base):
+            pool = np.flatnonzero((labels == c) & ~train & ~val)
+            chosen = rng.choice(pool, size=min(take, len(pool)), replace=False)
+            picks.extend(chosen.tolist())
+        if picks is train_idx:
+            train[np.asarray(picks, dtype=np.intp)] = True
+        else:
+            val[np.asarray(picks, dtype=np.intp)] = True
     test = ~(train | val)
     return {"train": train, "val": val, "test": test}
 
@@ -340,12 +332,9 @@ def evaluate_predictions(true, pred, n_classes, graph_quality=None,
                            config_fingerprint=fingerprint, seeds=list(seeds))
 
 
-def predict_node_level(model, g, features=None):
-    """Predicted class of every node, from g's features or from `features`."""
-    if features is None:
-        x = g.derived(md.FirstLayerInputs).x
-    else:
-        x = Tensor(gb.standardize(features))
+def predict_node_level(model, g):
+    """Predicted class of every node of g, from g's features."""
+    x = g.derived(md.FirstLayerInputs).x
     with ad.no_grad():
         return model.forward(x, g).data.argmax(axis=1)
 
@@ -359,26 +348,6 @@ def aggregate_reports(reports, fingerprint=""):
                            confusion=cm, per_class=[],
                            graph_quality=reports[0].graph_quality,
                            config_fingerprint=fingerprint, seeds=seeds)
-
-
-# ---------------------------------------------------------------------------
-# PCA projection
-
-def pca_project(x, dims=2):
-    """Project centered data on the top principal directions.
-
-    Returns (coordinates, explained variance ratios sorted descending).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    centered = x - x.mean(axis=0)
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    rank = int(np.sum(s > s[0] * 1e-12)) if len(s) else 0
-    if dims > rank:
-        raise ValueError(f"requested {dims} components but data rank is {rank}")
-    coords = centered @ vt[:dims].T
-    var = s ** 2
-    ratios = var[:dims] / var.sum()
-    return coords, ratios
 
 
 # ---------------------------------------------------------------------------

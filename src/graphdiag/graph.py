@@ -1,9 +1,8 @@
 """Undirected association graphs and their matrix derivations.
 
-A Graph is immutable after construction: a sorted (i < j) edge array plus
-per-node neighbor lists, with optional node features, labels, and
-train/val/test masks.  Self-loops are never stored; the +I used by the
-symmetric normalization is applied inside its operator only.
+A Graph is immutable after construction: a sorted (i < j) edge array with
+optional node features and labels.  Self-loops are never stored; the +I used
+by the symmetric normalization is applied inside its operator only.
 
 Values derived from a graph (the sparse propagation matrices, the attention
 and pool edge indices, and the standardized features with the first-layer
@@ -14,6 +13,8 @@ too, for the latest set of rows asked for.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -27,11 +28,15 @@ class GraphError(ValueError):
 
 
 class Graph:
-    __slots__ = ("n", "edges", "_neighbors", "features", "labels", "masks", "_hash",
-                 "_derived", "_derived_rows")
+    __slots__ = ("n", "edges", "features", "labels", "_hash", "_derived", "_derived_rows")
 
-    def __init__(self, n, edges, features=None, labels=None, masks=None):
-        self.n = int(n)
+    def __init__(self, n, edges, features=None, labels=None):
+        try:
+            self.n = operator.index(n)
+        except TypeError:
+            raise GraphError(f"node count must be an integer, got {n!r}") from None
+        if self.n < 0:
+            raise GraphError(f"node count must not be negative, got {self.n}")
         self._derived = {}
         self._derived_rows = {}
         edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
@@ -49,11 +54,6 @@ class Graph:
             edges = np.zeros((0, 2), dtype=np.intp)
         self.edges = edges
         self.edges.setflags(write=False)
-        rows, cols = _directed_edges(self)
-        order = np.lexsort((cols, rows))
-        flat = cols[order]
-        flat.setflags(write=False)
-        self._neighbors = np.split(flat, np.cumsum(np.bincount(rows, minlength=self.n))[:-1])
         if features is not None:
             features = np.asarray(features, dtype=np.float64)
             if features.shape[0] != self.n:
@@ -64,25 +64,17 @@ class Graph:
             if labels.shape != (self.n,):
                 raise GraphError(f"labels length {labels.shape} != n={self.n}")
         self.labels = labels
-        if masks is not None:
-            masks = {k: np.asarray(v, dtype=bool) for k, v in masks.items()}
-            total = np.zeros(self.n, dtype=int)
-            for k, v in masks.items():
-                if v.shape != (self.n,):
-                    raise GraphError(f"mask {k!r} length mismatch")
-                total += v
-            if total.max() > 1:
-                raise GraphError("masks overlap")
-        self.masks = masks
 
     @property
     def n_edges(self):
         return len(self.edges)
 
     def neighbors(self, v):
+        """Sorted neighbor ids of node v: a copy of row v's pattern in mean_propagation."""
         if not 0 <= v < self.n:
             raise GraphError(f"node {v} out of range for n={self.n}")
-        return self._neighbors[v]
+        m = mean_propagation(self)
+        return m.indices[m.indptr[v]:m.indptr[v + 1]].astype(np.intp)
 
     def degrees(self):
         return np.bincount(self.edges.ravel(), minlength=self.n)
@@ -117,12 +109,11 @@ class Graph:
             slot = self._derived_rows[build] = (key, build(self, rows))
         return slot[1]
 
-    def with_data(self, features=None, labels=None, masks=None):
+    def with_data(self, features=None, labels=None):
         """Copy of this graph's structure with data fields replaced."""
         return Graph(self.n, self.edges,
                      features=self.features if features is None else features,
-                     labels=self.labels if labels is None else labels,
-                     masks=self.masks if masks is None else masks)
+                     labels=self.labels if labels is None else labels)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -143,12 +134,6 @@ class Graph:
 def from_edge_list(pairs, n):
     """Build a Graph from (i, j) pairs; duplicates and orientations collapse."""
     return Graph(n, np.asarray(list(pairs), dtype=np.intp).reshape(-1, 2))
-
-
-def laplacian(g):
-    """L = D - A as a dense matrix."""
-    a = g.adjacency()
-    return np.diag(g.degrees().astype(np.float64)) - a
 
 
 def _csr(values, rows, cols, n):
@@ -214,8 +199,7 @@ def permute(g, perm):
     inv[perm] = np.arange(g.n)
     features = g.features[inv] if g.features is not None else None
     labels = g.labels[inv] if g.labels is not None else None
-    masks = {k: v[inv] for k, v in g.masks.items()} if g.masks is not None else None
-    return Graph(g.n, edges, features=features, labels=labels, masks=masks)
+    return Graph(g.n, edges, features=features, labels=labels)
 
 
 def write_edge_list(path, g):

@@ -208,15 +208,15 @@ def nearest_indices(queries, points, k, *, exclude_self=False):
     return table
 
 
-def knn_graph(features, k, *, standardize_features=True, labels=None, raw_features=None):
-    """Symmetrized (union) K-nearest-neighbor graph over sample features."""
+def knn_graph(features, k, *, labels=None):
+    """Symmetrized (union) K-nearest-neighbor graph over the standardized
+    sample features; the graph carries the features as given."""
     f = np.asarray(features, dtype=np.float64)
-    table = nearest_neighbor_table(standardize(f) if standardize_features else f, k)
+    table = nearest_neighbor_table(standardize(f), k)
     n = len(f)
     rows = np.repeat(np.arange(n), k)
     pairs = np.stack([rows, table.reshape(-1)], axis=1)
-    return Graph(n, pairs, features=f if raw_features is None else raw_features,
-                 labels=labels)
+    return Graph(n, pairs, features=f, labels=labels)
 
 
 def prior_partition_graph(assignment, features=None, labels=None):
@@ -253,26 +253,15 @@ def train_gae_on_graph(features, g, spec=None):
     return recon.data, model, trace
 
 
-def gae_refine_graph(features, base, tau=0.9, spec=None, edge_budget=None):
-    """Union of the base edges and reconstructed pairs scoring >= tau.
-
-    With edge_budget set, the top-scoring non-base pairs are added until the
-    refined graph has that many edges, ignoring tau.
-    """
-    if not 0.0 < tau < 1.0 and edge_budget is None:
+def gae_refine_graph(features, base, tau=0.9, spec=None):
+    """Union of the base edges and reconstructed pairs scoring >= tau."""
+    if not 0.0 < tau < 1.0:
         raise ValueError(f"tau={tau} outside (0, 1)")
     recon, model, trace = train_gae_on_graph(features, base, spec)
     scores = (recon + recon.T) / 2.0
     candidate = np.triu(np.ones((base.n, base.n), dtype=bool), k=1)
     candidate &= ~base.adjacency().astype(bool)
-    if edge_budget is not None:
-        extra = max(0, int(edge_budget) - base.n_edges)
-        ii, jj = np.nonzero(candidate)
-        order = np.lexsort((jj, ii, -scores[ii, jj]))[:extra]
-        added = np.stack([ii[order], jj[order]], axis=1)
-    else:
-        added = np.argwhere(candidate & (scores >= tau))
-    pairs = np.concatenate([base.edges, np.asarray(added, dtype=np.intp).reshape(-1, 2)])
+    pairs = np.concatenate([base.edges, np.argwhere(candidate & (scores >= tau))])
     return Graph(base.n, pairs, features=base.features, labels=base.labels)
 
 

@@ -256,7 +256,9 @@ class TestModelNames:
     @pytest.mark.parametrize("command", ["train", "curve"])
     @pytest.mark.parametrize("option, value", [("--epochs", "0"), ("--epochs", "-3"),
                                                ("--lr", "-1"), ("--lr", "0"),
-                                               ("--lr", "nan"), ("--lr", "inf")])
+                                               ("--lr", "nan"), ("--lr", "inf"),
+                                               ("--k", "0"), ("--tau", "1"), ("--tau", "nan"),
+                                               ("--seeds", "0,0"), ("--seeds", "0,x")])
     def test_bad_training_option_rejected_before_loading_data(self, command, option, value,
                                                               tmp_path, capsys):
         code = run([command, "--dataset", tmp_path / "missing", "--model", "mlp",
@@ -264,6 +266,16 @@ class TestModelNames:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert option in err and "does not exist" not in err
+
+    @pytest.mark.parametrize("argv", [["curve", "--model", "mlp", "--sizes", "6,x"],
+                                      ["curve", "--model", "mlp", "--sizes", "6,6"],
+                                      ["build-graph", "--k", "-1"],
+                                      ["build-graph", "--tau", "1.5"]])
+    def test_bad_option_rejected_before_loading_data(self, argv, tmp_path, capsys):
+        code = run(argv + ["--dataset", tmp_path / "missing", "--out", tmp_path / "o"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert argv[-2] in err and "does not exist" not in err
 
     def test_curve_trains_stgcn(self, series_dir, tmp_path):
         out = tmp_path / "c"

@@ -67,11 +67,6 @@ class TestSplit:
         for k in a:
             assert np.array_equal(a[k], b[k])
 
-    def test_unstratified(self):
-        labels = np.zeros(30, dtype=int)
-        masks = dg.split(labels, dg.SplitSpec(10, 5, stratified=False, seed=0))
-        assert masks["train"].sum() == 10
-
     @pytest.mark.parametrize("n_train, n_val", [(-1, 5), (5, -1)])
     def test_negative_size_rejected(self, n_train, n_val):
         with pytest.raises(ValueError, match="must not be negative"):
@@ -205,19 +200,6 @@ class TestTrainNodeLevel:
         assert sum(operand is x for operand in operands) == 1
         # GCN has no other graph layer; GraphSage's second propagates each forward
         assert len(operands) == (1 if arch == "gcn" else 1 + 2 * (4 + 1))
-
-    @pytest.mark.parametrize("arch", ["gcn", "graphsage"])
-    def test_prediction_on_other_features_reads_no_kept_input(self, arch, monkeypatch):
-        g = clustered_graph(np.random.default_rng(9))
-        masks = dg.split(g.labels, dg.SplitSpec(12, 6, seed=0))
-        spec = md.default_spec(arch, epochs=3, widths=self.spec(arch).widths)
-        model, _ = dg.train_node_level(arch, g, masks, spec)
-        other = np.random.default_rng(10).normal(size=g.features.shape)
-        want = dg.predict_node_level(model, g.with_data(features=other))
-        for name in ("propagated", "with_aggregate"):
-            monkeypatch.setattr(md.FirstLayerInputs, name,
-                                lambda *a, **k: pytest.fail("read the kept inputs"))
-        assert np.array_equal(dg.predict_node_level(model, g, features=other), want)
 
     def test_empty_train_mask_rejected(self):
         rng = np.random.default_rng(5)
@@ -453,29 +435,6 @@ class TestEvaluation:
         assert agg.accuracy == pytest.approx(0.75)
         assert agg.std == pytest.approx(0.25)
         assert agg.seeds == [0, 1]
-
-
-class TestPca:
-    def test_known_plane(self):
-        rng = np.random.default_rng(10)
-        coords2 = rng.normal(size=(50, 2)) * [5.0, 1.0]
-        basis = np.linalg.qr(rng.normal(size=(4, 2)))[0]
-        x = coords2 @ basis.T
-        proj, ratios = dg.pca_project(x, dims=2)
-        assert proj.shape == (50, 2)
-        assert ratios.sum() == pytest.approx(1.0)
-        assert ratios[0] > ratios[1]
-
-    def test_rank_guard(self):
-        x = np.outer(np.arange(10.0), [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            dg.pca_project(x, dims=2)
-
-    def test_centering(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(30, 3)) + 100.0
-        proj, _ = dg.pca_project(x, dims=2)
-        assert np.abs(proj.mean(axis=0)).max() < 1e-9
 
 
 class TestLearningCurve:

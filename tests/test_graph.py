@@ -40,40 +40,15 @@ class TestFromEdgeList:
             assert np.array_equal(a, a.T)
             assert np.all(np.diag(a) == 0)
 
-    def test_overlapping_masks_rejected(self):
-        m = {"train": [True, False], "val": [True, False]}
-        with pytest.raises(gr.GraphError):
-            gr.Graph(2, [(0, 1)], masks=m)
+    @pytest.mark.parametrize("n", [-1, 2.5])
+    def test_bad_node_count_rejected(self, n):
+        with pytest.raises(gr.GraphError, match="node count"):
+            gr.Graph(n, [])
 
     def test_dense_cap(self):
         g = gr.from_edge_list([(0, 1)], 2)
         with pytest.raises(gr.GraphError):
             g.adjacency(cap=1)
-
-
-class TestLaplacian:
-    def test_empty_graph_zero(self):
-        g = gr.from_edge_list([], 2)
-        assert np.array_equal(gr.laplacian(g), np.zeros((2, 2)))
-
-    def test_path(self):
-        g = gr.from_edge_list([(0, 1), (1, 2)], 3)
-        expected = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=float)
-        assert np.array_equal(gr.laplacian(g), expected)
-
-    def test_single_edge(self):
-        g = gr.from_edge_list([(0, 1)], 2)
-        assert np.array_equal(gr.laplacian(g), np.array([[1., -1.], [-1., 1.]]))
-
-    def test_row_sums_and_psd(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            g = random_graph(rng, int(rng.integers(2, 21)))
-            lap = gr.laplacian(g)
-            assert np.abs(lap.sum(axis=1)).max() < 1e-12
-            for _ in range(5):
-                x = rng.normal(size=g.n)
-                assert x @ lap @ x >= -1e-10
 
 
 class TestNormalizedAdjacency:
@@ -162,6 +137,16 @@ class TestNeighbors:
         g = gr.from_edge_list([], 2)
         with pytest.raises(gr.GraphError):
             g.neighbors(5)
+
+    def test_writing_the_result_leaves_the_cached_operator_alone(self):
+        g = gr.from_edge_list([(0, 1), (1, 2), (0, 2)], 4)
+        m = gr.mean_propagation(g)
+        before = m.toarray()
+        nb = g.neighbors(1)
+        assert nb.dtype == np.intp
+        nb[:] = 3
+        assert np.array_equal(gr.mean_propagation(g).toarray(), before)
+        assert g.neighbors(1).tolist() == [0, 2]
 
 
 class TestStructureOracle:
