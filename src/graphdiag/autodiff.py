@@ -18,8 +18,9 @@ running maximum that keeps no index array; the backward finds the first
 argmax from the input), both with the bytes of the plain per-tap and argmax
 loops, and the losses: cross-entropy, binary cross-entropy over a matrix of
 probabilities (bce_matrix), the GAE inner-product decoder's binary
-cross-entropy taken from the embedding Z in row blocks, so GAE training
-forms no N x N array (inner_product_bce), and mean squared error.  No layer
+cross-entropy taken from the embedding Z in the row blocks of
+inner_product_blocks, the walk that refinement scores with too, so no program
+path forms an N x N array (inner_product_bce), and mean squared error.  No layer
 calls leaky_relu, exp, segment_sum, repeat_segments or maxpool1d since GAT
 became one op and conv1d took the pooling; they stay exported because the
 benchmark's per-layer metrics time them by name.  Ops skip the gradient of
@@ -854,6 +855,18 @@ def bce_matrix(recon, target, eps=1e-7):
 IP_BCE_BLOCK = 64
 
 
+def inner_product_blocks(z):
+    """(a, b, sigmoid(z[a:b] @ z[a:].T)) per IP_BCE_BLOCK rows of the (N, d) array
+    z: the decoder's upper triangle, one block at a time.  Not an op, nor in __all__."""
+    for a in range(0, len(z), IP_BCE_BLOCK):
+        s = z[a:a + IP_BCE_BLOCK] @ z[a:].T
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        yield a, a + len(s), s
+
+
 class BceTarget:
     """inner_product_bce's symmetric 0/1 target A, as the flat indices of its
     ones in each row block.
@@ -887,8 +900,8 @@ def inner_product_bce(z, target, eps=1e-7):
     z is (N, d) and `target` is A as a BceTarget, or as the (N, N) CSR
     pattern of its ones (its values are ignored), from which the call builds
     one.  The loss is the mean over all N * N entries with the same eps
-    clamp as bce_matrix.  Z Z^T and A are symmetric, so the op walks row
-    blocks of the upper triangle: block rows [a, b) against columns [a, N),
+    clamp as bce_matrix.  Z Z^T and A are symmetric, so the op walks the
+    upper triangle's inner_product_blocks, rows [a, b) by columns [a, N),
     where the leading square counts once per entry and every column past b
     stands for its mirror too.  The gradient dZ = 2 G Z / N^2, G = s - t
     inside the clamp and 0 outside, is summed in the same pass, and only
@@ -907,13 +920,7 @@ def inner_product_bce(z, target, eps=1e-7):
     want_grad = _recording and z.requires_grad
     dz = np.zeros_like(x) if want_grad else None
     total = 0.0
-    for a, ones in zip(range(0, n, IP_BCE_BLOCK), target.flat):
-        b = min(n, a + IP_BCE_BLOCK)
-        s = x[a:b] @ x[a:].T
-        np.negative(s, out=s)
-        np.exp(s, out=s)
-        s += 1.0
-        np.divide(1.0, s, out=s)
+    for (a, b, s), ones in zip(inner_product_blocks(x), target.flat):
         # q = 1 - r where t = 0 and r where t = 1, for r = clip(s, eps, 1 - eps)
         q = np.clip(s, eps, 1.0 - eps)
         q_flat = q.reshape(-1)

@@ -85,6 +85,15 @@ def _check_graph_options(args):
         raise ConfigError(f"--tau must be a number strictly between 0 and 1, got {args.tau!r}")
 
 
+def _check_split_sizes(args):
+    """--train-size and --val-size, checked before any data loads."""
+    for option, value, least in (("--train-size", args.train_size, 1),
+                                 ("--val-size", args.val_size, 0)):
+        if not (isinstance(value, int) and value >= least):
+            raise ConfigError(f"{option} must be a whole number of at least {least}, "
+                              f"got {value!r}")
+
+
 def _build_graph(args, dataset, features):
     method = args.graph
     if method == "knn":
@@ -168,6 +177,7 @@ def cmd_build_graph(args):
 def cmd_train(args):
     specs = _model_specs(args)
     _check_graph_options(args)
+    _check_split_sizes(args)
     seeds = _seeds(args)
     dataset = _load_dataset(args)
     out = Path(args.out)
@@ -204,7 +214,11 @@ def cmd_curve(args):
         raise ConfigError("curve builds each STGCN sensor graph from its train split; "
                           "--sensor-graph-from-test applies to train only")
     _check_graph_options(args)
+    _check_split_sizes(args)
     sizes = _int_list(args.sizes, "--sizes") if args.sizes else list(range(10, 101, 10))
+    if sizes[0] < 1 or sizes != sorted(sizes):
+        raise ConfigError(f"--sizes must be ascending whole numbers of at least 1, "
+                          f"got {args.sizes!r}")
     seeds = _seeds(args)
     dataset = _load_dataset(args)
     curve = dg.learning_curve(lambda: _build_graph(args, dataset, _node_features(dataset)),

@@ -49,25 +49,22 @@ def split(labels, spec):
                          f"n_val={spec.n_val}")
     if spec.n_train + spec.n_val > n:
         raise ValueError(f"split sizes {spec.n_train}+{spec.n_val} exceed N={n}")
-    rng = np.random.default_rng(spec.seed)
-    train = np.zeros(n, dtype=bool)
-    val = np.zeros(n, dtype=bool)
     classes = np.unique(labels)
     if spec.n_train < len(classes):
         raise ValueError(
             f"n_train={spec.n_train} cannot cover {len(classes)} classes")
-    train_idx, val_idx = [], []
-    # largest-remainder apportionment of per-class quotas
-    for picks, total in ((train_idx, spec.n_train), (val_idx, spec.n_val)):
-        taken = train  # already-claimed nodes
-        counts = np.array([np.sum((labels == c) & ~taken) for c in classes])
-        avail = counts.sum()
+    rng = np.random.default_rng(spec.seed)
+    masks, free = {}, np.ones(n, dtype=bool)
+    # largest-remainder apportionment of per-class quotas over the unclaimed
+    # nodes; each class keeps at least `floor` of the pass's picks
+    for name, total, floor in (("train", spec.n_train, 1), ("val", spec.n_val, 0)):
+        picked = masks[name] = np.zeros(n, dtype=bool)
         if total == 0:
             continue
-        quota = counts * total / avail
-        base = np.floor(quota).astype(int)
-        if picks is train_idx:
-            base = np.maximum(base, 1)
+        members = [(labels == c) & free for c in classes]
+        counts = np.array([m.sum() for m in members])
+        quota = counts * total / counts.sum()
+        base = np.maximum(np.floor(quota).astype(int), floor)
         short = total - base.sum()
         if short > 0:
             order = np.argsort(-(quota - np.floor(quota)), kind="stable")
@@ -78,20 +75,15 @@ def split(labels, spec):
             for c in order:
                 if short == 0:
                     break
-                floor_c = 1 if picks is train_idx else 0
-                if base[c] > floor_c:
+                if base[c] > floor:
                     base[c] -= 1
                     short += 1
-        for c, take in zip(classes, base):
-            pool = np.flatnonzero((labels == c) & ~train & ~val)
-            chosen = rng.choice(pool, size=min(take, len(pool)), replace=False)
-            picks.extend(chosen.tolist())
-        if picks is train_idx:
-            train[np.asarray(picks, dtype=np.intp)] = True
-        else:
-            val[np.asarray(picks, dtype=np.intp)] = True
-    test = ~(train | val)
-    return {"train": train, "val": val, "test": test}
+        for member, take in zip(members, base):
+            pool = np.flatnonzero(member)
+            picked[rng.choice(pool, size=min(take, len(pool)), replace=False)] = True
+        free &= ~picked
+    masks["test"] = free
+    return masks
 
 
 def one_hot(labels, n_classes):

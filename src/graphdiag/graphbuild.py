@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import DENSE_CAP, Graph, GraphError, mean_propagation
+from .graph import Graph, GraphError, mean_propagation
 from .models import FirstLayerInputs, GaeModel, default_spec
 from .optim import fit
 
@@ -233,11 +233,10 @@ def prior_partition_graph(assignment, features=None, labels=None):
 
 
 def train_gae_on_graph(features, g, spec=None):
-    """Fit a GAE to reconstruct g's adjacency from features; returns (A_hat, model, losses)."""
+    """Fit a GAE to reconstruct g's adjacency from features; returns (Z, model,
+    losses), Z the fitted embedding that ad.inner_product_blocks decodes."""
     if spec is None:
         spec = default_spec("gae")
-    if g.n > DENSE_CAP:
-        raise GraphError(f"GAE's dense N x N decoder refused for n={g.n} > {DENSE_CAP}")
     # g's own features are its cached constant, so the first layer's S x is computed once
     x = g.derived(FirstLayerInputs).x if features is g.features else Tensor(standardize(features))
     model = GaeModel(x.shape[1], spec)
@@ -249,20 +248,21 @@ def train_gae_on_graph(features, g, spec=None):
 
     trace = fit(model, spec, steps)
     with ad.no_grad():
-        recon = model.forward(x, g)
-    return recon.data, model, trace
+        z = model.encode(x, g)
+    return z.data, model, trace
 
 
 def gae_refine_graph(features, base, tau=0.9, spec=None):
-    """Union of the base edges and reconstructed pairs scoring >= tau."""
+    """Union of the base edges and the pairs i < j whose decoder score
+    sigmoid(z_i . z_j) is >= tau, each scored once, in i's row block."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau={tau} outside (0, 1)")
-    recon, model, trace = train_gae_on_graph(features, base, spec)
-    scores = (recon + recon.T) / 2.0
-    candidate = np.triu(np.ones((base.n, base.n), dtype=bool), k=1)
-    candidate &= ~base.adjacency().astype(bool)
-    pairs = np.concatenate([base.edges, np.argwhere(candidate & (scores >= tau))])
-    return Graph(base.n, pairs, features=base.features, labels=base.labels)
+    z, _, _ = train_gae_on_graph(features, base, spec)
+    pairs = [base.edges]
+    for a, _, scores in ad.inner_product_blocks(z):
+        i, j = np.nonzero(np.triu(scores >= tau, 1))
+        pairs.append(np.stack([i + a, j + a], axis=1))
+    return Graph(base.n, np.concatenate(pairs), features=base.features, labels=base.labels)
 
 
 def feature_smoothness(g):

@@ -10,8 +10,8 @@ GraphSage pool aggregator runs on the cached edge lists of a `PoolIndex`.
 When the input of a GCN, GraphSage (mean or gcn) or GAE first layer is the
 graph's standardized features, its propagated input (S X, or [X || agg X])
 is read from the graph's `FirstLayerInputs`: once per graph, not per epoch.
-No layer forms a dense N x N matrix; only the GAE decoder's reconstruction
-`forward` is dense, and GAE training takes its loss from Z without it.  A
+No program path forms an N x N array; the dense `GaeModel.forward` is a
+small-graph reference; GAE training and refinement score Z in row blocks.  A
 1-d conv layer (GCN's conv head, STGCN's temporal blocks, the 1d-CNN) is one
 `ad.conv1d` call that adds its bias, applies its ReLU and, in STGCN's and
 the 1d-CNN's pooled layers, max-pools inside the op, so it keeps one output
@@ -413,9 +413,8 @@ class SageModel:
 class GaeModel:
     """GCN encoder + inner-product decoder: A_hat = sigmoid(Z Z^T).
 
-    Training feeds the embedding Z from `encode` to `ad.inner_product_bce`,
-    which never forms Z Z^T; `logits` returns the dense pre-sigmoid scores
-    Z Z^T and `forward` the probabilities A_hat.
+    Training and refinement score `encode`'s Z in row blocks, never forming
+    Z Z^T; `forward`, the dense A_hat, is a reference for small graphs.
     """
 
     def __init__(self, c_in, spec):
@@ -430,12 +429,9 @@ class GaeModel:
         """Embedding Z."""
         return self.enc2(self.enc1(x, g), g)
 
-    def logits(self, x, g):
-        z = self.encode(x, g)
-        return ad.matmul(z, ad.transpose(z, (1, 0)))
-
     def forward(self, x, g):
-        return ad.sigmoid(self.logits(x, g))
+        z = self.encode(x, g)
+        return ad.sigmoid(ad.matmul(z, ad.transpose(z, (1, 0))))
 
 
 # ---------------------------------------------------------------------------

@@ -77,3 +77,20 @@ def test_traced_learning_curve_times_every_cell(bench):
         tracer.uninstall()
     assert tracer.metric("diagnose.cells") == len(specs) * len(sizes) * len(seeds)
     assert tracer.metric("diagnose.train_s") > 0
+
+
+def test_traced_refinement_times_one_training_and_one_refinement(bench):
+    """The decoder's block walk is a generator, not an op: in ad.__all__ the
+    tracer would wrap it as one and fail on reading its output's data."""
+    tracing, _ = bench
+    rng = np.random.default_rng(13)
+    f = rng.normal(size=(40, 4))
+    base = gb.knn_graph(f, 3)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        gb.gae_refine_graph(f, base, spec=md.default_spec("gae", epochs=2))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["graphbuild.refine"] == 1
+    assert tracer.calls["graphbuild.gae_train"] == 1

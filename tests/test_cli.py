@@ -258,7 +258,9 @@ class TestModelNames:
                                                ("--lr", "-1"), ("--lr", "0"),
                                                ("--lr", "nan"), ("--lr", "inf"),
                                                ("--k", "0"), ("--tau", "1"), ("--tau", "nan"),
-                                               ("--seeds", "0,0"), ("--seeds", "0,x")])
+                                               ("--seeds", "0,0"), ("--seeds", "0,x"),
+                                               ("--train-size", "0"), ("--train-size", "-5"),
+                                               ("--val-size", "-1")])
     def test_bad_training_option_rejected_before_loading_data(self, command, option, value,
                                                               tmp_path, capsys):
         code = run([command, "--dataset", tmp_path / "missing", "--model", "mlp",
@@ -270,7 +272,9 @@ class TestModelNames:
     @pytest.mark.parametrize("argv", [["curve", "--model", "mlp", "--sizes", "6,x"],
                                       ["curve", "--model", "mlp", "--sizes", "6,6"],
                                       ["build-graph", "--k", "-1"],
-                                      ["build-graph", "--tau", "1.5"]])
+                                      ["build-graph", "--tau", "1.5"],
+                                      ["curve", "--model", "mlp", "--sizes", "20,10"],
+                                      ["curve", "--model", "mlp", "--sizes", "0,10"]])
     def test_bad_option_rejected_before_loading_data(self, argv, tmp_path, capsys):
         code = run(argv + ["--dataset", tmp_path / "missing", "--out", tmp_path / "o"])
         assert code == cli.EXIT_CONFIG

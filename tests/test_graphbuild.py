@@ -385,7 +385,7 @@ class TestGaeRefine:
             gb.train_gae_on_graph(base.features, base, md.default_spec("gae", epochs=5))
         x = base.derived(md.FirstLayerInputs).x
         assert sum(operand is x for operand in operands) == 1
-        # the second layer propagates in each of the 5 epochs and the final forward
+        # the second layer propagates in each of the 5 epochs and the final encode
         assert len(operands) == 1 + 2 * (5 + 1)
 
     def test_fused_loss_trace_matches_composition(self):
@@ -394,7 +394,7 @@ class TestGaeRefine:
         pairs = rng.integers(0, 30, size=(60, 2))
         base = gr.Graph(30, pairs[pairs[:, 0] != pairs[:, 1]])
         spec = md.default_spec("gae", epochs=5, seed=3)
-        recon, _, trace = gb.train_gae_on_graph(f, base, spec)
+        z, _, trace = gb.train_gae_on_graph(f, base, spec)
 
         model = md.GaeModel(f.shape[1], spec)
         opt = make_optimizer(spec.optimizer, model.params, spec.lr)
@@ -406,10 +406,55 @@ class TestGaeRefine:
             loss.backward()
             opt.step()
         np.testing.assert_allclose(trace, want, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(recon, model.forward(x, base).data, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(z, model.encode(x, base).data, rtol=1e-12, atol=0)
 
-    def test_refuses_graph_above_dense_cap(self):
-        n = gr.DENSE_CAP + 1
-        with pytest.raises(gr.GraphError):
-            gb.train_gae_on_graph(np.zeros((n, 2)), gr.Graph(n, []),
-                                  md.default_spec("gae", epochs=1))
+    @pytest.mark.parametrize("n", [12, 40, 130, 200])
+    def test_refined_edges_follow_the_dense_rule(self, n):
+        # the reference rule on the dense A_hat: the base edges and every other
+        # pair i < j whose symmetrised score is >= tau
+        rng = np.random.default_rng(n)
+        f = rng.normal(size=(n, 5))
+        pairs = rng.integers(0, n, size=(2 * n, 2))
+        base = gr.Graph(n, pairs[pairs[:, 0] != pairs[:, 1]])
+        spec = md.default_spec("gae", epochs=10, seed=n)
+        _, model, _ = gb.train_gae_on_graph(f, base, spec)
+        with ad.no_grad():
+            recon = model.forward(Tensor(gb.standardize(f)), base).data
+        scores = (recon + recon.T) / 2.0
+        candidate = np.triu(np.ones((n, n), dtype=bool), 1) & (base.adjacency() == 0)
+        # tau in the widest gap between the candidates' 75th and 95th percentile scores
+        m = candidate.sum()
+        ranked = np.sort(scores[candidate])[3 * m // 4:19 * m // 20]
+        k = np.argmax(np.diff(ranked))
+        tau = (ranked[k] + ranked[k + 1]) / 2.0
+        assert ranked[k + 1] - ranked[k] > 1e-9
+        refined = gb.gae_refine_graph(f, base, tau=tau, spec=spec)
+        added = np.argwhere(candidate & (scores >= tau))
+        want = set(map(tuple, base.edges)) | set(map(tuple, added))
+        assert set(map(tuple, refined.edges)) == want
+        assert refined.n_edges > base.n_edges
+
+    def test_refines_graph_above_dense_cap_in_row_blocks(self):
+        n = 4500
+        assert n > gr.DENSE_CAP
+        f = np.random.default_rng(0).normal(size=(n, 4))
+        base = gr.Graph(n, np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1))
+        spec = md.default_spec("gae", epochs=2)
+        tracemalloc.start()
+        try:
+            refined = gb.gae_refine_graph(f, base, tau=0.8, spec=spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one N x N float64 array would be 162 MB
+        assert peak < n * n * 8 / 4
+        z, _, _ = gb.train_gae_on_graph(f, base, spec)
+        want = set(map(tuple, base.edges))
+        for a in range(0, n, 500):
+            s = 1.0 / (1.0 + np.exp(-(z[a:a + 500] @ z.T)))
+            assert np.abs(s - 0.8).min() > 1e-9
+            i, j = np.nonzero(s >= 0.8)
+            want |= {(int(r) + a, int(c)) for r, c in zip(i, j) if r + a < c}
+        assert set(map(tuple, refined.edges)) == want
+        # a barely trained GAE on this ring adds O(N) pairs, not O(N^2)
+        assert 0 < refined.n_edges - base.n_edges < n
