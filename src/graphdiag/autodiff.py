@@ -6,9 +6,10 @@ a closure computing the parent gradients from the output gradient.  The op
 set is what the model layers need: dense linear algebra (matmul, with an
 optional bias and ReLU applied to its output in place, so a dense layer is
 one node that keeps one array), propagation through a constant sparse graph
-operator, pointwise nonlinearities, edge-list gather / scatter / segment
-ops, GAT attention as one fused op (gat_aggregate: scores, segment softmax
-and weighted neighbour sum, with a hand-written backward by sparse products
+operator, pointwise nonlinearities, a row gather (take_rows), sum, max and
+repeat over the contiguous segments of a row-sorted edge array, GAT
+attention as one fused op (gat_aggregate: scores, segment softmax and
+weighted neighbour sum, with a hand-written backward by sparse products
 that forms no per-edge gradient), 1-d convolution
 (conv1d: per-tap GEMMs over cache-sized row blocks of the batch, broadcast
 products when Fin == 1, and an optional bias, ReLU and max pooling applied
@@ -21,10 +22,11 @@ probabilities (bce_matrix), the GAE inner-product decoder's binary
 cross-entropy taken from the embedding Z in the row blocks of
 inner_product_blocks, the walk that refinement scores with too, so no program
 path forms an N x N array (inner_product_bce), and mean squared error.  No layer
-calls leaky_relu, exp, segment_sum, repeat_segments or maxpool1d since GAT
-became one op and conv1d took the pooling; they stay exported because the
-benchmark's per-layer metrics time them by name.  Ops skip the gradient of
-a parent that requires none where it costs a product (matmul, conv1d).
+calls leaky_relu, exp, segment_sum, repeat_segments, segment_max or maxpool1d
+since GAT became one op, conv1d took the pooling and GraphSage kept only its
+gcn aggregator; they stay exported because the benchmark's per-layer metrics
+time them by name.  Ops skip the gradient of a parent that requires none
+where it costs a product (matmul, conv1d).
 Inside `with no_grad():` ops record nothing, for forward-only passes.
 """
 
@@ -35,11 +37,11 @@ import contextlib
 import numpy as np
 
 __all__ = [
-    "Tensor", "Parameter", "SegmentIndex", "GatherPlan",
+    "Tensor", "Parameter", "SegmentIndex",
     "add", "sub", "mul", "div", "neg", "matmul", "propagate", "transpose", "reshape",
     "concat", "relu", "leaky_relu", "sigmoid", "exp", "log",
     "conv1d", "maxpool1d", "sum_", "mean_",
-    "take_rows", "put_rows", "segment_sum", "repeat_segments", "segment_max", "gat_aggregate",
+    "take_rows", "segment_sum", "repeat_segments", "segment_max", "gat_aggregate",
     "cross_entropy", "bce_matrix", "BceTarget", "inner_product_bce", "mse_matrix", "grad_check",
 ]
 
@@ -569,7 +571,7 @@ def maxpool1d(signal, window):
 
 
 # ---------------------------------------------------------------------------
-# gather / scatter / segment ops (edge-list message passing)
+# row gather and segment ops
 
 def _summing_matrix(rows, n_rows):
     """CSR 0/1 matrix m of shape (n_rows, len(rows)) with m[rows[e], e] = 1.
@@ -577,7 +579,7 @@ def _summing_matrix(rows, n_rows):
     m @ g adds each row g[e] into output row rows[e]; rows no entry names
     stay zero.
     """
-    # scipy.sparse takes ~0.2 s to import; only the edge-list ops need it
+    # scipy.sparse takes ~0.2 s to import; only the segment ops need it
     from scipy import sparse
 
     rows = np.asarray(rows, dtype=np.intp)
@@ -591,43 +593,17 @@ def _sum_rows(m, g):
     return (m @ flat).reshape((m.shape[0],) + g.shape[1:])
 
 
-class GatherPlan:
-    """Precomputed scatter-add for the backward pass of take_rows.
-
-    The gradient of a[idx] adds row e of g into row idx[e].  One 0/1 summing
-    matrix, built with the plan, does that as a single sparse matmul, which
-    on ~1e5-edge graphs is far faster than np.add.at.
-    """
-
-    def __init__(self, idx, n_rows):
-        self.matrix = _summing_matrix(idx, n_rows)
-
-    def scatter_add(self, g):
-        return _sum_rows(self.matrix, g)
-
-
-def take_rows(a, idx, plan=None):
-    """Row gather a[idx]; backward scatter-adds (via `plan` when supplied)."""
+def take_rows(a, idx):
+    """Row gather a[idx]; backward scatter-adds the gradient rows into idx."""
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
 
     def backward(g):
-        if plan is not None:
-            return (plan.scatter_add(g),)
         da = np.zeros_like(a.data)
         np.add.at(da, idx, g)
         return (da,)
 
     return _node(a.data[idx], (a,), backward)
-
-
-def put_rows(a, idx, n_rows):
-    """Place rows a[k] at positions idx[k] of an n_rows output; rest zero."""
-    a = _as_tensor(a)
-    idx = np.asarray(idx, dtype=np.intp)
-    out = np.zeros((n_rows,) + a.data.shape[1:])
-    out[idx] = a.data
-    return _node(out, (a,), lambda g: (g[idx],))
 
 
 class SegmentIndex:
@@ -648,13 +624,6 @@ class SegmentIndex:
         # large temporaries, and later runs on the graph keep the same peak RSS
         self.matrix = _summing_matrix(np.repeat(np.arange(len(self.starts)), self.lengths),
                                       len(self.starts))
-
-    @classmethod
-    def from_sorted_ids(cls, sorted_ids):
-        sorted_ids = np.asarray(sorted_ids, dtype=np.intp)
-        boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-        starts = np.concatenate(([0], boundaries))
-        return cls(starts, len(sorted_ids))
 
 
 def segment_sum(a, seg):

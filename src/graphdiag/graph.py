@@ -5,11 +5,12 @@ optional node features and labels.  Self-loops are never stored; the +I used
 by the symmetric normalization is applied inside its operator only.
 
 Values derived from a graph (the sparse propagation matrices, the attention
-and pool edge indices, and the standardized features with the first-layer
-inputs made of them) are built on first use and kept on the Graph, so every
-model that runs on the same graph shares one copy.  Restrictions of an
-operator to a set of rows (the train and validation nodes of a fit) are kept
-too, for the latest set of rows asked for.
+edge index, and the standardized features with the first-layer inputs made
+of them) are built on first use and kept on the Graph, so every model that
+runs on the same graph shares one copy.  Restrictions of the symmetric
+operator and of the attention edge index to a set of rows (the train and
+validation nodes of a fit) are kept too, for the latest set of rows asked
+for.
 """
 
 from __future__ import annotations
@@ -160,9 +161,7 @@ def _build_sym_propagation(g, rows=None):
     return _csr(dinv[rows] * dinv[cols], rows, cols, g.n)
 
 
-def _build_mean_propagation(g, rows=None):
-    if rows is not None:
-        return mean_propagation(g)[rows]
+def _build_mean_propagation(g):
     rows, cols = _directed_edges(g)
     return _csr(1.0 / np.bincount(rows, minlength=g.n)[rows], rows, cols, g.n)
 
@@ -175,13 +174,12 @@ def sym_propagation(g, rows=None):
     return g.derived(_build_sym_propagation, rows)
 
 
-def mean_propagation(g, rows=None):
+def mean_propagation(g):
     """Row-normalized adjacency D^{-1} A as a CSR matrix, cached on g.
 
-    Isolated nodes get an empty row; column indices are sorted.  With
-    `rows` (sorted node ids), only those rows, as a CSR row slice.
+    Isolated nodes get an empty row; column indices are sorted.
     """
-    return g.derived(_build_mean_propagation, rows)
+    return g.derived(_build_mean_propagation)
 
 
 def normalized_adjacency(g):

@@ -2,14 +2,13 @@
 
 Layers operate on the autodiff Tensor type and keep their Parameters in a
 `params` list so the optimizers and checkpoints can reach them.  Graph layers
-take `(x, g)` and read their operators from the per-Graph cache: GCN, the
-GraphSage mean and gcn aggregators, the GAE encoder and the STGCN sensor
-mixing propagate through a sparse normalized adjacency; GAT attention is one
-fused op, `ad.gat_aggregate`, over the cached A + I CSR pattern; the
-GraphSage pool aggregator runs on the cached edge lists of a `PoolIndex`.
-When the input of a GCN, GraphSage (mean or gcn) or GAE first layer is the
-graph's standardized features, its propagated input (S X, or [X || agg X])
-is read from the graph's `FirstLayerInputs`: once per graph, not per epoch.
+take `(x, g)` and read their operators from the per-Graph cache: GCN,
+GraphSage (its gcn aggregator), the GAE encoder and the STGCN sensor mixing
+propagate through the sparse symmetric-normalized adjacency S; GAT attention
+is one fused op, `ad.gat_aggregate`, over the cached A + I CSR pattern.
+When the input of a GCN, GraphSage or GAE first layer is the graph's
+standardized features, its propagated input (S X, or [X || S X]) is read
+from the graph's `FirstLayerInputs`: once per graph, not per epoch.
 No program path forms an N x N array; the dense `GaeModel.forward` is a
 small-graph reference; GAE training and refinement score Z in row blocks.  A
 1-d conv layer (GCN's conv head, STGCN's temporal blocks, the 1d-CNN) is one
@@ -25,7 +24,7 @@ masked loss computes no row that it would multiply by zero, and the rows
 equal those of the full forward (`rows=None`), which prediction uses.  GCN
 takes the rows of its kept S X (or propagates through the row slice of its
 operator when its input is not the graph's features), GraphSage's second layer
-through the slice of its mean or gcn operator, and GAT's second layer
+through the row slice of S, and GAT's second layer
 attends over a `GatEdgeIndex` of the rows' segments; the earlier layers
 stay full-graph.
 
@@ -36,9 +35,8 @@ names and `diagnose`'s dispatch read it, so a new method is one row.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,13 +55,6 @@ class ModelSpec:
     seed: int = 0
     heads: int = 8
     widths: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
 
 
 def default_spec(architecture, seed=0, **overrides):
@@ -111,7 +102,7 @@ def glorot(rng, shape):
 
 class FirstLayerInputs:
     """g's standardized features X and the first-layer inputs made of them:
-    S X, D^-1 A X and GraphSage's [X || agg X], each built on first use and
+    S X and GraphSage's [X || S X], each built on first use and
     kept through `g.derived(FirstLayerInputs)`, so every epoch and every fit
     on the graph shares one copy.  A layer reads them only when its input
     *is* `x`; any other input is propagated.  A CSR product computes each
@@ -145,10 +136,10 @@ class FirstLayerInputs:
         """op(g) X, at `rows` only when given, as a constant Tensor."""
         return self._kept_rows(op, lambda: ad.propagate(op(g), self.x), rows)
 
-    def with_aggregate(self, g, op, rows=None):
-        """[X || op(g) X], at `rows` only when given, as a constant Tensor."""
-        return self._kept_rows(("concat", op),
-                               lambda: ad.concat([self.x, self.propagated(g, op)], axis=1), rows)
+    def with_aggregate(self, g, rows=None):
+        """[X || S X], at `rows` only when given, as a constant Tensor."""
+        return self._kept_rows("concat", lambda: ad.concat(
+            [self.x, self.propagated(g, gr.sym_propagation)], axis=1), rows)
 
     def _kept_rows(self, key, build, rows):
         value = self._kept.get(key)
@@ -156,20 +147,6 @@ class FirstLayerInputs:
             value = self._kept[key] = build().data
             value.setflags(write=False)
         return Tensor(value if rows is None else value[rows])
-
-
-class PoolIndex:
-    """The GraphSage pool aggregator's edges: one segment per node that has
-    neighbours (`present`), holding its sorted neighbours (`src`), the rows
-    of the D^-1 A pattern.  Built once per graph through `g.derived(PoolIndex)`.
-    """
-
-    def __init__(self, g):
-        pattern = gr.mean_propagation(g)
-        self.present = np.flatnonzero(np.diff(pattern.indptr))
-        self.src = pattern.indices.astype(np.intp)
-        self.seg = ad.SegmentIndex(pattern.indptr[self.present], pattern.nnz)
-        self.src_plan = ad.GatherPlan(self.src, g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -262,50 +239,26 @@ class GatLayer:
 
 
 class SageLayer:
-    """out = act(W [self || aggregate(neighbors)]) with mean/gcn/pool aggregators.
+    """out = act(W [x || S x]): GraphSage with the gcn aggregator, S the
+    symmetric-normalized adjacency incl. self loops."""
 
-    The mean aggregator averages neighbor rows (zero vector when there are
-    none); gcn applies the symmetric-normalized mean incl. self; pool takes
-    an elementwise max over linearly transformed, ReLU'd neighbor rows.
-    """
-
-    def __init__(self, c_in, c_out, rng, aggregator="gcn", activation="relu",
-                 name="sage"):
-        if aggregator not in ("mean", "gcn", "pool"):
-            raise ValueError(f"unknown aggregator {aggregator!r}")
+    def __init__(self, c_in, c_out, rng, activation="relu", name="sage"):
         _check_activation(activation, name)
-        self.aggregator = aggregator
         self.activation = activation
         self.w = Parameter(glorot(rng, (2 * c_in, c_out)), name=f"{name}.w")
         self.params = [self.w]
-        if aggregator == "pool":
-            self.w_pool = Parameter(glorot(rng, (c_in, c_in)), name=f"{name}.w_pool")
-            self.b_pool = Parameter(np.zeros(c_in), name=f"{name}.b_pool")
-            self.params += [self.w_pool, self.b_pool]
 
     def __call__(self, x, g, rows=None):
         """The layer's output at every node, or at `rows` only when given;
-        the pool aggregator pools at every node and then takes the rows.
-        [x || agg x] of g's standardized features, for the mean and gcn
-        aggregators, is read from g's FirstLayerInputs."""
-        op = {"mean": gr.mean_propagation, "gcn": gr.sym_propagation}.get(self.aggregator)
+        [x || S x] of g's standardized features is read from g's
+        FirstLayerInputs."""
         inputs = g.derived(FirstLayerInputs)
-        if op is not None and inputs.holds(x):
-            both = inputs.with_aggregate(g, op, rows)
+        if inputs.holds(x):
+            both = inputs.with_aggregate(g, rows)
         else:
-            agg = self._pool_aggregate(x, g, rows) if op is None else ad.propagate(op(g, rows), x)
+            agg = ad.propagate(gr.sym_propagation(g, rows), x)
             both = ad.concat([x if rows is None else ad.take_rows(x, rows), agg], axis=1)
         return ad.matmul(both, self.w, relu=self.activation == "relu")
-
-    def _pool_aggregate(self, x, g, rows=None):
-        index = g.derived(PoolIndex)
-        if not len(index.src):
-            pooled = Tensor(np.zeros_like(x.data))
-        else:
-            transformed = ad.matmul(x, self.w_pool, self.b_pool, relu=True)
-            gathered = ad.take_rows(transformed, index.src, index.src_plan)
-            pooled = ad.put_rows(ad.segment_max(gathered, index.seg), index.present, g.n)
-        return pooled if rows is None else ad.take_rows(pooled, rows)
 
 
 class Dense:
@@ -393,16 +346,13 @@ class GatModel:
 
 
 class SageModel:
-    """Two sample-and-aggregate layers (gcn aggregator by default)."""
+    """Two sample-and-aggregate layers with the gcn aggregator."""
 
     def __init__(self, c_in, n_classes, spec):
         rng = np.random.default_rng(spec.seed)
         hidden = spec.widths.get("hidden", 64)
-        aggregator = spec.widths.get("aggregator", "gcn")
-        self.layer1 = SageLayer(c_in, hidden, rng, aggregator=aggregator,
-                                activation="relu", name="sage1")
-        self.layer2 = SageLayer(hidden, n_classes, rng, aggregator=aggregator,
-                                activation="identity", name="sage2")
+        self.layer1 = SageLayer(c_in, hidden, rng, activation="relu", name="sage1")
+        self.layer2 = SageLayer(hidden, n_classes, rng, activation="identity", name="sage2")
         self.params = self.layer1.params + self.layer2.params
 
     def forward(self, x, g, rows=None):
@@ -509,7 +459,7 @@ class StgcnModel:
 # baselines
 
 class MlpModel:
-    """Two hidden layers on flattened samples."""
+    """Two hidden layers on flat (B, d) samples."""
 
     def __init__(self, c_in, n_classes, spec):
         rng = np.random.default_rng(spec.seed)
@@ -522,13 +472,12 @@ class MlpModel:
 
     def forward(self, x):
         x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.ndim > 2:
-            x = ad.reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
         return self.fc3(self.fc2(self.fc1(x)))
 
 
 class Cnn1dModel:
-    """conv - pool - conv - dense over the time axis, channels as features."""
+    """conv - pool - conv - dense over the time axis of (B, T, C) series,
+    channels as features."""
 
     def __init__(self, n_channels, n_classes, spec):
         rng = np.random.default_rng(spec.seed)
@@ -541,10 +490,6 @@ class Cnn1dModel:
 
     def forward(self, x):
         x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.ndim == 2:                                 # static features: (B, d) -> (B, d, 1)
-            x = ad.reshape(x, (x.shape[0], x.shape[1], 1))
-            if self.conv1.kernel.shape[1] != 1:
-                raise ad.ShapeError("model built for multichannel input, got static features")
         h = self.conv2(self.conv1(x))
         h = ad.mean_(h, axis=1)
         return self.head(h)

@@ -16,6 +16,13 @@ def param(rng, *shape):
     return ad.Parameter(rng.normal(size=shape))
 
 
+def segments_of(sorted_ids):
+    """SegmentIndex of the runs of equal ids in a sorted id array."""
+    sorted_ids = np.asarray(sorted_ids, dtype=np.intp)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_ids)) + 1))
+    return ad.SegmentIndex(starts, len(sorted_ids))
+
+
 class TestForwardValues:
     def test_add_sub_mul_div(self):
         a = ad.Tensor([2.0, 3.0])
@@ -84,23 +91,21 @@ class TestForwardValues:
     def test_segment_sum_matches_loop(self):
         ids = np.array([0, 0, 1, 2, 2, 2])
         x = np.arange(12, dtype=float).reshape(6, 2)
-        seg = ad.SegmentIndex.from_sorted_ids(ids)
+        seg = segments_of(ids)
         out = ad.segment_sum(ad.Tensor(x), seg).data
         assert np.array_equal(out, [[2, 4], [4, 5], [24, 27]])
 
     def test_segment_max_matches_loop(self):
         ids = np.array([0, 0, 0, 1, 1])
         x = np.array([[1.0, 9.0], [5.0, 2.0], [3.0, 3.0], [0.0, 1.0], [2.0, 0.0]])
-        seg = ad.SegmentIndex.from_sorted_ids(ids)
+        seg = segments_of(ids)
         out = ad.segment_max(ad.Tensor(x), seg).data
         assert np.array_equal(out, [[5.0, 9.0], [2.0, 1.0]])
 
-    def test_take_put_rows(self):
+    def test_take_rows(self):
         x = np.arange(6, dtype=float).reshape(3, 2)
         taken = ad.take_rows(ad.Tensor(x), [2, 0, 2]).data
         assert np.array_equal(taken, [[4, 5], [0, 1], [4, 5]])
-        put = ad.put_rows(ad.Tensor(x[:2]), [3, 1], 4).data
-        assert np.array_equal(put, [[0, 0], [2, 3], [0, 0], [0, 1]])
 
     def test_cross_entropy_uniform_logits(self):
         # equal logits over M classes give loss ln M regardless of labels
@@ -160,14 +165,16 @@ class TestKernelOracles:
         g = rng.normal(size=(len(idx),) + tail)
         expected = np.zeros((n_rows,) + tail)
         np.add.at(expected, np.asarray(idx, dtype=np.intp), g)
-        out = ad.GatherPlan(idx, n_rows).scatter_add(g)
+        a = ad.Parameter(np.zeros((n_rows,) + tail))
+        ad.take_rows(a, idx).backward(g)
+        out = a.grad
         assert out.shape == expected.shape
         assert np.abs(out - expected).max(initial=0.0) < 1e-12
 
     def test_segment_sum_and_repeat_backward_3d(self):
         rng = np.random.default_rng(11)
         ids = np.array([0, 0, 0, 1, 2, 2, 3, 3, 3, 3])
-        seg = ad.SegmentIndex.from_sorted_ids(ids)
+        seg = segments_of(ids)
         x = rng.normal(size=(10, 3, 2))
         expected = np.zeros((4, 3, 2))
         for e, s in enumerate(ids):
@@ -708,14 +715,8 @@ class TestGradCheck:
         def build(rng):
             a = param(rng, 4, 3)
             idx = rng.integers(0, 4, size=7)
-            plan = ad.GatherPlan(idx, 4)
             w = rng.normal(size=(7, 3))
-
-            def fn():
-                taken = ad.take_rows(a, idx, plan)
-                return ad.sum_(taken * w) + ad.sum_(ad.put_rows(taken, np.arange(7), 9))
-
-            return fn, [a]
+            return (lambda: ad.sum_(ad.take_rows(a, idx) * w)), [a]
 
         self.check(build, 1)
 
@@ -724,7 +725,7 @@ class TestGradCheck:
             ids = np.sort(rng.integers(0, 3, size=8))
             ids[0] = 0
             ids[-1] = 2
-            seg = ad.SegmentIndex.from_sorted_ids(ids)
+            seg = segments_of(ids)
             a = param(rng, 8, 2)
             w = rng.normal(size=(len(seg.starts), 2))
 

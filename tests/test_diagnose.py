@@ -178,8 +178,7 @@ class TestTrainNodeLevel:
 
     @pytest.mark.parametrize("arch,widths", [
         ("gcn", {"gc": 8, "conv": (4,), "hidden": 8}),
-        ("graphsage", {"hidden": 8, "aggregator": "mean"}),
-        ("graphsage", {"hidden": 8, "aggregator": "gcn"}),
+        ("graphsage", {"hidden": 8}),
     ])
     def test_constant_features_are_propagated_once_per_graph(self, arch, widths, monkeypatch):
         g = clustered_graph(np.random.default_rng(8))

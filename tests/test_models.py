@@ -83,23 +83,7 @@ def loops_gat_layer(x, layer, g):
 
 
 def loops_sage_layer(x, layer, g):
-    n = g.n
-    f_in = x.shape[1]
-    if layer.aggregator == "gcn":
-        agg = loops_norm_adj(g) @ x
-    elif layer.aggregator == "mean":
-        agg = np.zeros((n, f_in))
-        for i in range(n):
-            nb = g.neighbors(i)
-            if len(nb):
-                agg[i] = x[nb].mean(axis=0)
-    else:
-        t = np.maximum(x @ layer.w_pool.data + layer.b_pool.data, 0.0)
-        agg = np.zeros((n, f_in))
-        for i in range(n):
-            nb = g.neighbors(i)
-            if len(nb):
-                agg[i] = t[nb].max(axis=0)
+    agg = loops_norm_adj(g) @ x
     z = np.concatenate([x, agg], axis=1) @ layer.w.data
     return np.maximum(z, 0.0) if layer.activation == "relu" else z
 
@@ -171,11 +155,6 @@ class TestModelSpec:
         with pytest.raises(TypeError):
             md.default_spec("gcn", epoch=5)
 
-    def test_json_round_trip(self):
-        spec = md.default_spec("gcn", seed=7, widths={"gc": 32})
-        back = md.ModelSpec.from_json(spec.to_json())
-        assert back == spec
-
 
 class TestGcnOracle:
     def test_layer_exhaustive_small(self):
@@ -236,22 +215,19 @@ class TestGatOracle:
 
 
 class TestSageOracle:
-    @pytest.mark.parametrize("aggregator", ["mean", "gcn", "pool"])
-    def test_layer_exhaustive_small(self, aggregator):
+    def test_layer_exhaustive_small(self):
         rng = np.random.default_rng(16)
         for n in (2, 3):
             for g in all_graphs(n):
                 x = rng.normal(size=(n, 3))
-                layer = md.SageLayer(3, 4, np.random.default_rng(4),
-                                     aggregator=aggregator)
+                layer = md.SageLayer(3, 4, np.random.default_rng(4))
                 got = layer(Tensor(x), g).data
                 want = loops_sage_layer(x, layer, g)
                 assert np.abs(got - want).max() < ORACLE_TOL
 
-    @pytest.mark.parametrize("aggregator", ["mean", "gcn", "pool"])
-    def test_model_random(self, aggregator):
+    def test_model_random(self):
         rng = np.random.default_rng(17)
-        spec = small_spec("graphsage", widths={"hidden": 5, "aggregator": aggregator})
+        spec = small_spec("graphsage", widths={"hidden": 5})
         for _ in range(20):
             g, x = random_case(rng)
             model = md.SageModel(3, 3, spec)
@@ -316,9 +292,7 @@ class TestLargeGraph:
     @pytest.mark.parametrize("arch,widths", [
         ("gcn", {"gc": 4, "conv": (2,), "hidden": 4}),
         ("gat", {"per_head": 2}),
-        ("graphsage", {"hidden": 4, "aggregator": "mean"}),
-        ("graphsage", {"hidden": 4, "aggregator": "gcn"}),
-        ("graphsage", {"hidden": 4, "aggregator": "pool"}),
+        ("graphsage", {"hidden": 4}),
     ])
     def test_ring_above_dense_cap(self, arch, widths):
         n = 5000
@@ -346,9 +320,7 @@ def rows_case(seed, n=60, isolated=3):
 ROWS_CASES = [
     ("gcn", {"gc": 8, "conv": (2, 2), "hidden": 4}),
     ("gat", {"per_head": 3}),
-    ("graphsage", {"hidden": 5, "aggregator": "mean"}),
-    ("graphsage", {"hidden": 5, "aggregator": "gcn"}),
-    ("graphsage", {"hidden": 5, "aggregator": "pool"}),
+    ("graphsage", {"hidden": 5}),
 ]
 
 
@@ -409,8 +381,7 @@ class TestRowsPath:
 
 FIRST_LAYER_CASES = [
     ("gcn", {"gc": 8, "conv": (2, 2), "hidden": 4}),
-    ("graphsage", {"hidden": 5, "aggregator": "mean"}),
-    ("graphsage", {"hidden": 5, "aggregator": "gcn"}),
+    ("graphsage", {"hidden": 5}),
 ]
 
 
@@ -428,7 +399,7 @@ def forward_and_gradients(model, x, g, rows):
 
 
 class TestFirstLayerInputs:
-    """A first layer reads g's kept S X or [X || agg X] only when its input is
+    """A first layer reads g's kept S X or [X || S X] only when its input is
     g's standardized features, and gives propagate's bytes either way."""
 
     @pytest.mark.parametrize("arch,widths", FIRST_LAYER_CASES)
@@ -458,61 +429,11 @@ class TestFirstLayerInputs:
         assert not inputs.x.requires_grad and not inputs.x.data.flags.writeable
         sx = inputs.propagated(g, gr.sym_propagation).data
         assert sx.tobytes() == (gr.sym_propagation(g) @ inputs.x.data).tobytes()
-        both = inputs.with_aggregate(g, gr.mean_propagation).data
-        assert both.tobytes() == np.concatenate(
-            [inputs.x.data, gr.mean_propagation(g) @ inputs.x.data], axis=1).tobytes()
+        both = inputs.with_aggregate(g).data
+        assert both.tobytes() == np.concatenate([inputs.x.data, sx], axis=1).tobytes()
         assert not sx.flags.writeable and not both.flags.writeable
         with pytest.raises(ValueError, match="no features"):
             gr.Graph(3, [(0, 1)]).derived(md.FirstLayerInputs).x
-
-
-def pool_aggregate_per_call(layer, x, g):
-    """The pool aggregator as it was composed on every call, before its
-    index was kept per graph."""
-    pattern = gr.mean_propagation(g)
-    if not pattern.nnz:
-        return Tensor(np.zeros_like(x.data))
-    present = np.flatnonzero(np.diff(pattern.indptr))
-    seg = ad.SegmentIndex(pattern.indptr[present], pattern.nnz)
-    src = pattern.indices.astype(np.intp)
-    transformed = ad.matmul(x, layer.w_pool, layer.b_pool, relu=True)
-    gathered = ad.take_rows(transformed, src, ad.GatherPlan(src, g.n))
-    pooled = ad.segment_max(gathered, seg)
-    return ad.put_rows(pooled, present, g.n)
-
-
-class TestPoolIndex:
-    def test_aggregate_and_gradients_match_the_per_call_composition(self):
-        cases = [rows_case(seed)[:2] for seed in range(3)]
-        cases.append((gr.Graph(4, []), np.random.default_rng(3).normal(size=(4, 3))))
-        for g, x in cases:
-            rng = np.random.default_rng(g.n_edges)
-            layer = md.SageLayer(3, 4, rng, aggregator="pool")
-            weights = Tensor(rng.normal(size=(g.n, 3)))
-            results = []
-            for aggregate in (layer._pool_aggregate,
-                              lambda x, g: pool_aggregate_per_call(layer, x, g)):
-                xp = ad.Parameter(x.copy())
-                for p in layer.params:
-                    p.grad = None
-                out = aggregate(xp, g)
-                ad.sum_(ad.mul(out, weights)).backward()
-                grads = [xp.grad, layer.w_pool.grad, layer.b_pool.grad]
-                results.append([out.data.tobytes()] + [
-                    None if grad is None else grad.tobytes() for grad in grads])
-            assert results[0] == results[1]
-
-    def test_index_built_once_per_graph(self, monkeypatch):
-        g, x, _ = rows_case(1)
-        built = []
-        init = md.PoolIndex.__init__
-        monkeypatch.setattr(md.PoolIndex, "__init__",
-                            lambda self, graph: built.append(graph) or init(self, graph))
-        model = md.build_node_model("graphsage", 3, 3,
-                                    small_spec("graphsage", widths={"aggregator": "pool"}))
-        for _ in range(3):
-            model.forward(Tensor(x), g)
-        assert built == [g]
 
 
 class TestGae:
@@ -616,13 +537,10 @@ class TestStgcn:
 
 
 class TestBaselines:
-    def test_mlp_shapes_and_flattening(self):
+    def test_mlp_shape(self):
         model = md.MlpModel(12, 3, small_spec("mlp"))
-        rng = np.random.default_rng(25)
-        flat = model.forward(rng.normal(size=(4, 12))).data
-        cube = model.forward(rng.normal(size=(4, 4, 3))).data
-        assert flat.shape == (4, 3)
-        assert cube.shape == (4, 3)
+        out = model.forward(np.random.default_rng(25).normal(size=(4, 12))).data
+        assert out.shape == (4, 3)
 
     def test_cnn_shape(self):
         model = md.Cnn1dModel(2, 5, small_spec("cnn1d"))
