@@ -99,7 +99,9 @@ def one_hot(labels, n_classes):
 def train_node_level(architecture, g, masks, spec, n_classes=None):
     """Algorithm for node-level diagnosis: epochs whose forward ends at the
     train and validation rows, masked CE loss, best-on-validation snapshot
-    returned.  Only training and validation labels are read.
+    returned.  Each epoch's forward scores the parameters before its step,
+    and one no-grad forward at the same rows scores those after the last
+    step.  Only training and validation labels are read.
     """
     if g.features is None or g.labels is None:
         raise ValueError("graph must carry features and labels")
@@ -115,14 +117,24 @@ def train_node_level(architecture, g, masks, spec, n_classes=None):
     train, val = masks["train"][rows], masks["val"][rows]
     model = md.build_node_model(architecture, x.shape[1], n_classes, spec)
 
+    def accuracy(logits):
+        pred = logits.data.argmax(axis=1)
+        return float((pred[val] == labels[val]).mean()) if val.any() else None
+
     def steps(epoch):
         logits = model.forward(x, g, rows)
         # scored on the logits of the parameters as they are before this step
-        pred = logits.data.argmax(axis=1)
-        acc = float((pred[val] == labels[val]).mean()) if val.any() else None
-        yield ad.cross_entropy(logits, y, train), 1, acc
+        yield ad.cross_entropy(logits, y, train), 1, accuracy(logits)
 
-    return model, fit(model, spec, steps)
+    def score(epoch):
+        # the next epoch's forward scores this epoch's parameters; only the
+        # last step's are left, for one forward that records nothing
+        if epoch < spec.epochs - 1 or not val.any():
+            return None
+        with ad.no_grad():
+            return accuracy(model.forward(x, g, rows))
+
+    return model, fit(model, spec, steps, score)
 
 
 def correlation_sensor_graph(samples, threshold=0.5):
@@ -145,7 +157,7 @@ def _score_after_step(model, inputs, labels):
     if not len(labels):
         return None
 
-    def score():
+    def score(_epoch):
         with ad.no_grad():
             pred = model.forward(inputs).data.argmax(axis=1)
         return float((pred == labels).mean())

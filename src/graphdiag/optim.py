@@ -89,9 +89,11 @@ def fit(model, spec, steps, score=None):
     `steps(epoch)` yields `(loss, weight, acc)` per optimizer step: the loss
     Tensor, its weight in the epoch's weighted-mean trace entry, and the
     validation accuracy of the parameters before the step, or None.
-    `score()` gives the validation accuracy after an epoch's steps.  The
-    parameters of the latest epoch with the best accuracy are restored; a
-    non-finite loss raises DivergenceError.
+    `score(epoch)` gives the validation accuracy of the parameters after
+    the epoch's steps, or None.  Every parameter set given an accuracy is a
+    candidate, and the latest candidate with the best accuracy is restored;
+    with no candidate the trained parameters stay.  A non-finite loss
+    raises DivergenceError.
     """
     opt = make_optimizer(spec.optimizer, model.params, spec.lr)
     trace, best, best_acc = [], None, -1.0
@@ -113,7 +115,7 @@ def fit(model, spec, steps, score=None):
             opt.step()
         trace.append(total / weight)
         if score is not None:
-            consider(score())
+            consider(score(epoch))
     if best is not None:
         for p, data in zip(model.params, best):
             p.data = data

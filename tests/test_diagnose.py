@@ -12,6 +12,7 @@ from graphdiag import diagnose as dg
 from graphdiag import faultgen as fg
 from graphdiag import graphbuild as gb
 from graphdiag import models as md
+from graphdiag import optim
 
 
 def clustered_graph(rng, n_per=15, n_classes=3, sep=6.0):
@@ -173,8 +174,32 @@ class TestTrainNodeLevel:
         spec = md.default_spec(arch, epochs=3, heads=2, widths=self.spec(arch).widths)
         dg.train_node_level(arch, g, masks, spec)
         want = np.flatnonzero(masks["train"] | masks["val"])
-        assert len(calls) == 3
+        assert len(calls) == 4          # one per epoch, and one scores the last step
         assert all(len(rest) == 1 and np.array_equal(rest[0], want) for rest in calls)
+
+    @pytest.mark.parametrize("arch", ["gcn", "gat", "graphsage"])
+    def test_one_epoch_fit_returns_the_stepped_parameters(self, arch):
+        # the parameters after the last step are a candidate of the restore,
+        # so a fit whose step raises validation accuracy keeps them
+        g = clustered_graph(np.random.default_rng(9))
+        masks = dg.split(g.labels, dg.SplitSpec(12, 12, seed=4))
+        spec = md.default_spec(arch, epochs=1, lr=0.05, optimizer="adam", heads=2,
+                               widths=self.spec(arch).widths)
+        model, _ = dg.train_node_level(arch, g, masks, spec)
+        rows = np.flatnonzero(masks["train"] | masks["val"])
+        x = g.derived(md.FirstLayerInputs).x
+        stepped = md.build_node_model(arch, x.shape[1], 3, spec)
+        before = stepped.forward(x, g, rows)
+        ad.cross_entropy(before, dg.one_hot(g.labels[rows], 3), masks["train"][rows]).backward()
+        optim.make_optimizer(spec.optimizer, stepped.params, spec.lr).step()
+        with ad.no_grad():
+            after = stepped.forward(x, g, rows)
+        val, labels = masks["val"][rows], g.labels[rows]
+        accs = [float((out.data.argmax(axis=1)[val] == labels[val]).mean())
+                for out in (before, after)]
+        assert accs[1] > accs[0]
+        assert all(p.data.tobytes() == q.data.tobytes()
+                   for p, q in zip(model.params, stepped.params))
 
     @pytest.mark.parametrize("arch,widths", [
         ("gcn", {"gc": 8, "conv": (4,), "hidden": 8}),
@@ -197,8 +222,9 @@ class TestTrainNodeLevel:
             dg.predict_node_level(model, g)
         x = g.derived(md.FirstLayerInputs).x
         assert sum(operand is x for operand in operands) == 1
-        # GCN has no other graph layer; GraphSage's second propagates each forward
-        assert len(operands) == (1 if arch == "gcn" else 1 + 2 * (4 + 1))
+        # GCN has no other graph layer; GraphSage's second propagates each
+        # forward: 4 epochs, the score of the last step and the prediction
+        assert len(operands) == (1 if arch == "gcn" else 1 + 2 * (4 + 2))
 
     def test_empty_train_mask_rejected(self):
         rng = np.random.default_rng(5)

@@ -112,7 +112,7 @@ class TestFit:
     def test_post_step_score_restores_latest_of_tied_best_epochs(self):
         model, scores, after = Scalar(), iter([0.5, 0.8, 0.8, 0.6]), []
 
-        def score():
+        def score(epoch):
             after.append(model.params[0].data.copy())
             return next(scores)
 
