@@ -292,7 +292,8 @@ class TestLargeGraph:
     @pytest.mark.parametrize("arch,widths", [
         ("gcn", {"gc": 4, "conv": (2,), "hidden": 4}),
         ("gat", {"per_head": 2}),
-        ("graphsage", {"hidden": 4}),
+        # Explicit ids keep each GraphSage case under the name it has always run as.
+        pytest.param("graphsage", {"hidden": 4}, id="graphsage-widths3"),
     ])
     def test_ring_above_dense_cap(self, arch, widths):
         n = 5000
@@ -320,7 +321,7 @@ def rows_case(seed, n=60, isolated=3):
 ROWS_CASES = [
     ("gcn", {"gc": 8, "conv": (2, 2), "hidden": 4}),
     ("gat", {"per_head": 3}),
-    ("graphsage", {"hidden": 5}),
+    pytest.param("graphsage", {"hidden": 5}, id="graphsage-widths3"),
 ]
 
 
@@ -381,7 +382,7 @@ class TestRowsPath:
 
 FIRST_LAYER_CASES = [
     ("gcn", {"gc": 8, "conv": (2, 2), "hidden": 4}),
-    ("graphsage", {"hidden": 5}),
+    pytest.param("graphsage", {"hidden": 5}, id="graphsage-widths2"),
 ]
 
 
