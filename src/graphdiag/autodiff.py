@@ -18,10 +18,12 @@ plus a uint8 argmax offset when it pools) and max pooling (maxpool1d: a
 running maximum that keeps no index array; the backward finds the first
 argmax from the input), both with the bytes of the plain per-tap and argmax
 loops, and the losses: cross-entropy, binary cross-entropy over a matrix of
-probabilities (bce_matrix), the GAE inner-product decoder's binary
+probabilities (bce_matrix), and the GAE inner-product decoder's binary
 cross-entropy taken from the embedding Z in the row blocks of
 inner_product_blocks, the walk that refinement scores with too, so no program
-path forms an N x N array (inner_product_bce), and mean squared error.  No layer
+path forms an N x N array (inner_product_bce); the two binary cross-entropies
+share one clamp, BCE_EPS, and the decoder's target A is read from the
+off-diagonal entries of a graph's cached A + I pattern (BceTarget).  No layer
 calls leaky_relu, exp, segment_sum, repeat_segments, segment_max or maxpool1d
 since GAT became one op, conv1d took the pooling and GraphSage kept only its
 gcn aggregator; they stay exported because the benchmark's per-layer metrics
@@ -42,7 +44,7 @@ __all__ = [
     "concat", "relu", "leaky_relu", "sigmoid", "exp", "log",
     "conv1d", "maxpool1d", "sum_", "mean_",
     "take_rows", "segment_sum", "repeat_segments", "segment_max", "gat_aggregate",
-    "cross_entropy", "bce_matrix", "BceTarget", "inner_product_bce", "mse_matrix", "grad_check",
+    "cross_entropy", "bce_matrix", "BceTarget", "inner_product_bce", "grad_check",
 ]
 
 
@@ -802,12 +804,18 @@ def cross_entropy(logits, onehot, mask):
     return _node(loss, (logits,), backward)
 
 
-def bce_matrix(recon, target, eps=1e-7):
-    """Mean binary cross-entropy over all entries; recon clamped to [eps, 1-eps]."""
+# the probability clamp of both binary cross-entropies, [BCE_EPS, 1 - BCE_EPS]:
+# inner_product_bce equals bce_matrix(sigmoid(Z Z^T), A) only while they agree
+BCE_EPS = 1e-7
+
+
+def bce_matrix(recon, target):
+    """Mean binary cross-entropy over all entries; recon clamped to [BCE_EPS, 1 - BCE_EPS]."""
     recon = _as_tensor(recon)
     target = np.asarray(target, dtype=np.float64)
     if recon.data.shape != target.shape:
         raise ShapeError(f"recon shape {recon.data.shape} != target shape {target.shape}")
+    eps = BCE_EPS
     r = np.clip(recon.data, eps, 1.0 - eps)
     n = r.size
     loss = -(target * np.log(r) + (1.0 - target) * np.log(1.0 - r)).sum() / n
@@ -840,9 +848,10 @@ class BceTarget:
     """inner_product_bce's symmetric 0/1 target A, as the flat indices of its
     ones in each row block.
 
-    `pattern` is an (N, N) CSR matrix whose entries are A's ones (its values
-    are ignored).  Block k covers rows [a, b), a = k * IP_BCE_BLOCK, against
-    columns [a, N), so its one at (i, j), j >= a, is entry
+    `pattern` is an (N, N) CSR matrix whose off-diagonal entries are A's
+    ones; its values and diagonal are ignored, so a graph's cached A + I
+    operator serves.  Block k covers rows [a, b), a = k * IP_BCE_BLOCK,
+    against columns [a, N), so its one at (i, j), j >= a, i != j, is entry
     (i - a) * (N - a) + (j - a) of the block's (b - a) x (N - a) array.  A
     fit's target never changes, so the fit builds this once and every
     epoch's loss reads it.
@@ -859,33 +868,29 @@ class BceTarget:
             b = min(n, a + IP_BCE_BLOCK)
             rows = np.repeat(np.arange(b - a), np.diff(indptr[a:b + 1]))
             cols = indices[indptr[a]:indptr[b]] - a
-            keep = cols >= 0
+            keep = (cols >= 0) & (cols != rows)
             self.flat.append(rows[keep] * (n - a) + cols[keep])
 
 
-def inner_product_bce(z, target, eps=1e-7):
+def inner_product_bce(z, target):
     """bce_matrix(sigmoid(z @ z.T), A) without forming an N x N array.
 
-    z is (N, d) and `target` is A as a BceTarget, or as the (N, N) CSR
-    pattern of its ones (its values are ignored), from which the call builds
-    one.  The loss is the mean over all N * N entries with the same eps
-    clamp as bce_matrix.  Z Z^T and A are symmetric, so the op walks the
-    upper triangle's inner_product_blocks, rows [a, b) by columns [a, N),
-    where the leading square counts once per entry and every column past b
-    stands for its mirror too.  The gradient dZ = 2 G Z / N^2, G = s - t
-    inside the clamp and 0 outside, is summed in the same pass, and only
-    when the graph is recorded.  No array larger than the block times N is
-    built.
+    z is (N, d) and `target` is A as a BceTarget.  The loss is the mean over
+    all N * N entries with bce_matrix's BCE_EPS clamp.  Z Z^T and A are
+    symmetric, so the op walks the upper triangle's inner_product_blocks,
+    rows [a, b) by columns [a, N), where the leading square counts once per
+    entry and every column past b stands for its mirror too.  The gradient
+    dZ = 2 G Z / N^2, G = s - t inside the clamp and 0 outside, is summed in
+    the same pass, and only when the graph is recorded.  No array larger
+    than the block times N is built.
     """
     z = _as_tensor(z)
     if z.ndim != 2:
         raise ShapeError(f"inner_product_bce expects 2-d z, got {z.data.shape}")
     n = z.data.shape[0]
-    if not isinstance(target, BceTarget):
-        target = BceTarget(target)
     if target.shape != (n, n):
         raise ShapeError(f"target pattern {target.shape} does not fit z {z.data.shape}")
-    x = z.data
+    x, eps = z.data, BCE_EPS
     want_grad = _recording and z.requires_grad
     dz = np.zeros_like(x) if want_grad else None
     total = 0.0
@@ -910,17 +915,6 @@ def inner_product_bce(z, target, eps=1e-7):
         return Tensor(loss)
     dz *= 2.0 / size
     return _node(loss, (z,), lambda g: (g * dz,))
-
-
-def mse_matrix(recon, target):
-    """Mean squared difference over all entries."""
-    recon = _as_tensor(recon)
-    target = np.asarray(target, dtype=np.float64)
-    if recon.data.shape != target.shape:
-        raise ShapeError(f"recon shape {recon.data.shape} != target shape {target.shape}")
-    diff = recon.data - target
-    loss = (diff * diff).sum() / diff.size
-    return _node(loss, (recon,), lambda g: (g * 2.0 * diff / diff.size,))
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,12 @@ def _master_seed(args):
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("GRAPHDIAG_SEED")
-    if env is not None:
+    if env is None:
+        return 0
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise ConfigError(f"GRAPHDIAG_SEED must be an integer, got {env!r}") from None
 
 
 def _int_list(text, option):
@@ -78,11 +81,13 @@ def _node_features(dataset):
 
 
 def _check_graph_options(args):
-    """--k and --tau, checked before any data loads."""
+    """--k, --tau and the --partition file, checked before any data loads."""
     if not (isinstance(args.k, int) and args.k >= 1):
         raise ConfigError(f"--k must be a whole number of at least 1, got {args.k!r}")
     if not (isinstance(args.tau, (int, float)) and 0 < args.tau < 1):
         raise ConfigError(f"--tau must be a number strictly between 0 and 1, got {args.tau!r}")
+    if args.partition and not Path(args.partition).is_file():
+        raise ConfigError(f"--partition file not found: {args.partition}")
 
 
 def _check_split_sizes(args):

@@ -218,7 +218,7 @@ def train_baseline(dataset, masks, spec):
     xs = (flat - mean) / std
     inputs = xs.reshape(dataset.samples.shape) if method.trains_on == md.SERIES else xs
     if hasattr(method.model, "fit"):                # fitted in one call, no epochs
-        clf = method.model(k=spec.widths.get("k", 5))
+        clf = method.model()
         return clf.fit(inputs[train_idx], dataset.labels[train_idx]), [], inputs
     n_classes = dataset.n_classes
     model = method.model(inputs.shape[-1], n_classes, spec)

@@ -304,12 +304,17 @@ def save_dataset(ds, directory):
 def load_dataset(directory):
     """Read a save_dataset directory; ValueError names the file of any mismatch.
 
-    Checked: one label per feature row, the manifest shape against the values,
-    finite values, and labels in [0, number of classes).
+    Checked: the three files are present, one label per feature row, the
+    manifest shape against the values, finite values, and labels in
+    [0, number of classes).
     """
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest_path = directory / "manifest.json"
     features_path, labels_path = directory / "features.csv", directory / "labels.csv"
+    for path in (manifest_path, features_path, labels_path):
+        if not path.is_file():
+            raise ValueError(f"dataset file missing: {path}")
+    manifest = json.loads(manifest_path.read_text())
     flat = np.loadtxt(features_path, delimiter=",", ndmin=2)
     labels = np.loadtxt(labels_path, dtype=np.intp, ndmin=1)
     if len(flat) != len(labels):
@@ -317,7 +322,7 @@ def load_dataset(directory):
                          f"has {len(labels)} labels")
     shape = manifest.get("shape")
     if shape and (int(np.prod(shape)) != flat.size or shape[0] != len(flat)):
-        raise ValueError(f"{directory / 'manifest.json'} shape {shape} does not fit the "
+        raise ValueError(f"{manifest_path} shape {shape} does not fit the "
                          f"{len(flat)} x {flat.shape[1]} values of {features_path}")
     finite = np.isfinite(flat)
     if not finite.all():

@@ -4,10 +4,11 @@ A Graph is immutable after construction: a sorted (i < j) edge array with
 optional node features and labels.  Self-loops are never stored; the +I used
 by the symmetric normalization is applied inside its operator only.
 
-Values derived from a graph (the sparse propagation matrices, the attention
-edge index, and the standardized features with the first-layer inputs made
-of them) are built on first use and kept on the Graph, so every model that
-runs on the same graph shares one copy.  Restrictions of the symmetric
+Values derived from a graph (the sparse A + I propagation operator, whose
+pattern also gives the neighbour lists, the attention edge index and the
+GAE's target; and the standardized features with the first-layer inputs
+made of them) are built on first use and kept on the Graph, so every model
+that runs on the same graph shares one copy.  Restrictions of the symmetric
 operator and of the attention edge index to a set of rows (the train and
 validation nodes of a fit) are kept too, for the latest set of rows asked
 for.
@@ -71,14 +72,13 @@ class Graph:
         return len(self.edges)
 
     def neighbors(self, v):
-        """Sorted neighbor ids of node v: a copy of row v's pattern in mean_propagation."""
+        """Sorted neighbor ids of node v: row v of sym_propagation's pattern
+        without v, as a new array."""
         if not 0 <= v < self.n:
             raise GraphError(f"node {v} out of range for n={self.n}")
-        m = mean_propagation(self)
-        return m.indices[m.indptr[v]:m.indptr[v + 1]].astype(np.intp)
-
-    def degrees(self):
-        return np.bincount(self.edges.ravel(), minlength=self.n)
+        s = sym_propagation(self)
+        row = s.indices[s.indptr[v]:s.indptr[v + 1]]
+        return row[row != v].astype(np.intp)
 
     def adjacency(self, cap=DENSE_CAP):
         if self.n > cap:
@@ -137,33 +137,18 @@ def from_edge_list(pairs, n):
     return Graph(n, np.asarray(list(pairs), dtype=np.intp).reshape(-1, 2))
 
 
-def _csr(values, rows, cols, n):
-    # scipy.sparse takes ~0.2 s to import; only these operators need it
-    from scipy import sparse
-
-    m = sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
-    m.sort_indices()
-    return m
-
-
-def _directed_edges(g):
-    return (np.concatenate([g.edges[:, 0], g.edges[:, 1]]),
-            np.concatenate([g.edges[:, 1], g.edges[:, 0]]))
-
-
 def _build_sym_propagation(g, rows=None):
     if rows is not None:
         return sym_propagation(g)[rows]
-    loops = np.arange(g.n)
-    rows, cols = _directed_edges(g)
-    rows, cols = np.concatenate([rows, loops]), np.concatenate([cols, loops])
+    # scipy.sparse takes ~0.2 s to import; only this operator needs it
+    from scipy import sparse
+
+    i, j, loops = g.edges[:, 0], g.edges[:, 1], np.arange(g.n)
+    rows, cols = np.concatenate([i, j, loops]), np.concatenate([j, i, loops])
     dinv = 1.0 / np.sqrt(np.bincount(rows, minlength=g.n))
-    return _csr(dinv[rows] * dinv[cols], rows, cols, g.n)
-
-
-def _build_mean_propagation(g):
-    rows, cols = _directed_edges(g)
-    return _csr(1.0 / np.bincount(rows, minlength=g.n)[rows], rows, cols, g.n)
+    m = sparse.csr_matrix((dinv[rows] * dinv[cols], (rows, cols)), shape=(g.n, g.n))
+    m.sort_indices()
+    return m
 
 
 def sym_propagation(g, rows=None):
@@ -172,14 +157,6 @@ def sym_propagation(g, rows=None):
     With `rows` (sorted node ids), only those rows, as a CSR row slice.
     """
     return g.derived(_build_sym_propagation, rows)
-
-
-def mean_propagation(g):
-    """Row-normalized adjacency D^{-1} A as a CSR matrix, cached on g.
-
-    Isolated nodes get an empty row; column indices are sorted.
-    """
-    return g.derived(_build_mean_propagation)
 
 
 def normalized_adjacency(g):

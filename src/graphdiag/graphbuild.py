@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import Graph, GraphError, mean_propagation
+from .graph import Graph, GraphError, sym_propagation
 from .models import FirstLayerInputs, GaeModel, default_spec
 from .optim import fit
 
@@ -240,8 +240,8 @@ def train_gae_on_graph(features, g, spec=None):
     # g's own features are its cached constant, so the first layer's S x is computed once
     x = g.derived(FirstLayerInputs).x if features is g.features else Tensor(standardize(features))
     model = GaeModel(x.shape[1], spec)
-    # D^-1 A has A's ones as its pattern
-    target = ad.BceTarget(mean_propagation(g))
+    # A's ones are the off-diagonal pattern of the encoder's cached A + I operator
+    target = ad.BceTarget(sym_propagation(g))
 
     def steps(epoch):
         yield ad.inner_product_bce(model.encode(x, g), target), 1, None

@@ -5,17 +5,19 @@ Layers operate on the autodiff Tensor type and keep their Parameters in a
 take `(x, g)` and read their operators from the per-Graph cache: GCN,
 GraphSage (its gcn aggregator), the GAE encoder and the STGCN sensor mixing
 propagate through the sparse symmetric-normalized adjacency S; GAT attention
-is one fused op, `ad.gat_aggregate`, over the cached A + I CSR pattern.
+is one fused op, `ad.gat_aggregate`, over S's A + I CSR pattern.  S is the
+graph's only sparse operator: its pattern also gives the GAE's target.
 When the input of a GCN, GraphSage or GAE first layer is the graph's
 standardized features, its propagated input (S X, or [X || S X]) is read
 from the graph's `FirstLayerInputs`: once per graph, not per epoch.
 No program path forms an N x N array; the dense `GaeModel.forward` is a
 small-graph reference; GAE training and refinement score Z in row blocks.  A
 1-d conv layer (GCN's conv head, STGCN's temporal blocks, the 1d-CNN) is one
-`ad.conv1d` call that adds its bias, applies its ReLU and, in STGCN's and
-the 1d-CNN's pooled layers, max-pools inside the op, so it keeps one output
-array (and a uint8 argmax offset when it pools).  Dense, GCN and GraphSage
-layers are likewise one `ad.matmul` call with the bias and ReLU inside.
+stride-1 `ad.conv1d` call that adds its bias, applies its ReLU and, in
+STGCN's and the 1d-CNN's pooled layers, max-pools inside the op, so it keeps
+one output array (and a uint8 argmax offset when it pools).  Dense, GCN and
+GraphSage layers are likewise one `ad.matmul` call with the bias and ReLU
+inside.
 
 The node-level models' `forward(x, g, rows)` computes the last graph layer
 and everything after it only at `rows`, sorted node ids, with their full
@@ -102,12 +104,13 @@ def glorot(rng, shape):
 
 class FirstLayerInputs:
     """g's standardized features X and the first-layer inputs made of them:
-    S X and GraphSage's [X || S X], each built on first use and
-    kept through `g.derived(FirstLayerInputs)`, so every epoch and every fit
-    on the graph shares one copy.  A layer reads them only when its input
-    *is* `x`; any other input is propagated.  A CSR product computes each
-    row on its own, so the rows of a kept product are the bytes of the
-    row-sliced operator's product.
+    S X, S the cached symmetric-normalized A + I operator, and GraphSage's
+    [X || S X], each built on first use and kept through
+    `g.derived(FirstLayerInputs)`, so every epoch and every fit on the graph
+    shares one copy.  A layer reads them only when its input *is* `x`; any
+    other input is propagated.  A CSR product computes each row on its own,
+    so the rows of a kept product are the bytes of the row-sliced operator's
+    product.
     """
 
     def __init__(self, g):
@@ -132,14 +135,15 @@ class FirstLayerInputs:
         """Whether x is this graph's constant `x`."""
         return x is self._x and not x.requires_grad
 
-    def propagated(self, g, op, rows=None):
-        """op(g) X, at `rows` only when given, as a constant Tensor."""
-        return self._kept_rows(op, lambda: ad.propagate(op(g), self.x), rows)
+    def propagated(self, g, rows=None):
+        """S X, at `rows` only when given, as a constant Tensor."""
+        return self._kept_rows(
+            "sx", lambda: ad.propagate(gr.sym_propagation(g), self.x), rows)
 
     def with_aggregate(self, g, rows=None):
         """[X || S X], at `rows` only when given, as a constant Tensor."""
         return self._kept_rows("concat", lambda: ad.concat(
-            [self.x, self.propagated(g, gr.sym_propagation)], axis=1), rows)
+            [self.x, self.propagated(g)], axis=1), rows)
 
     def _kept_rows(self, key, build, rows):
         value = self._kept.get(key)
@@ -166,7 +170,7 @@ class GcnLayer:
         features is read from g's FirstLayerInputs."""
         inputs = g.derived(FirstLayerInputs)
         if inputs.holds(x):
-            sx = inputs.propagated(g, gr.sym_propagation, rows)
+            sx = inputs.propagated(g, rows)
         else:
             sx = ad.propagate(gr.sym_propagation(g, rows), x)
         return ad.matmul(sx, self.theta, relu=self.activation == "relu")
@@ -276,20 +280,17 @@ class Dense:
 
 
 class Conv1dLayer:
-    """act(conv1d(x, kernel) + bias), act "relu" or "identity", max-pooled over
-    windows of `pool` steps when pool > 1, as one conv1d node."""
+    """relu(conv1d(x, kernel) + bias), stride 1, max-pooled over windows of
+    `pool` steps when pool > 1, as one conv1d node."""
 
-    def __init__(self, k, c_in, c_out, rng, stride=1, activation="relu", pool=1, name="conv"):
-        _check_activation(activation, name)
+    def __init__(self, k, c_in, c_out, rng, pool=1, name="conv"):
         self.kernel = Parameter(glorot(rng, (k, c_in, c_out)), name=f"{name}.kernel")
         self.bias = Parameter(np.zeros(c_out), name=f"{name}.bias")
-        self.stride, self.pool = stride, pool
-        self.activation = activation
+        self.pool = pool
         self.params = [self.kernel, self.bias]
 
     def __call__(self, x):
-        return ad.conv1d(x, self.kernel, self.stride, self.bias, self.activation == "relu",
-                         self.pool)
+        return ad.conv1d(x, self.kernel, bias=self.bias, relu=True, pool=self.pool)
 
 
 # ---------------------------------------------------------------------------
@@ -394,40 +395,41 @@ class StgcnModel:
     Input (B, T, C) with one sensor per graph node; temporal blocks run
     convolution - max pooling - convolution independently per sensor.
     Hidden states are sensor-major, (C*B, T, F), so the spatial block
-    propagates over a contiguous (C, B*T*F) view.
+    propagates over a contiguous (C, B*T*F) view.  The first conv's kernel
+    is K1 and the other three's K2; each block's first conv max-pools over
+    POOL steps.
     """
+
+    K1, K2 = 5, 3
+    POOL = 2
 
     def __init__(self, n_channels, n_classes, spec, sensor_graph):
         rng = np.random.default_rng(spec.seed)
-        w = spec.widths
-        f1 = w.get("temporal1", 8)
-        f2 = w.get("spatial", 8)
-        k1, k2 = w.get("kernels", (5, 3))
-        self.pool = w.get("pool", 2)
-        self.k1, self.k2 = k1, k2
+        f1 = spec.widths.get("temporal1", 8)
+        f2 = spec.widths.get("spatial", 8)
         self.n_channels = n_channels
         self.sensor_graph = sensor_graph
         self.s_norm = gr.sym_propagation(sensor_graph)
-        self.t1a = Conv1dLayer(k1, 1, f1, rng, pool=self.pool, name="t1a")
-        self.t1b = Conv1dLayer(k2, f1, f1, rng, name="t1b")
+        self.t1a = Conv1dLayer(self.K1, 1, f1, rng, pool=self.POOL, name="t1a")
+        self.t1b = Conv1dLayer(self.K2, f1, f1, rng, name="t1b")
         self.theta = Parameter(glorot(rng, (f1, f2)), name="spatial.theta")
-        self.t2a = Conv1dLayer(k2, f2, f2, rng, pool=self.pool, name="t2a")
-        self.t2b = Conv1dLayer(k2, f2, f2, rng, name="t2b")
+        self.t2a = Conv1dLayer(self.K2, f2, f2, rng, pool=self.POOL, name="t2a")
+        self.t2b = Conv1dLayer(self.K2, f2, f2, rng, name="t2b")
         self.head = Dense(n_channels * f2, n_classes, rng, name="head")
         self.params = (self.t1a.params + self.t1b.params + [self.theta]
                        + self.t2a.params + self.t2b.params + self.head.params)
 
     def _length_after(self, t):
-        t = t - self.k1 + 1          # t1a
-        t //= self.pool              # pool 1
-        t = t - self.k2 + 1          # t1b
-        t = t - self.k2 + 1          # t2a
-        t //= self.pool              # pool 2
-        t = t - self.k2 + 1          # t2b
+        t = t - self.K1 + 1          # t1a
+        t //= self.POOL              # pool 1
+        t = t - self.K2 + 1          # t1b
+        t = t - self.K2 + 1          # t2a
+        t //= self.POOL              # pool 2
+        t = t - self.K2 + 1          # t2b
         return t
 
     def min_length(self):
-        t = self.k1
+        t = self.K1
         while self._length_after(t) < 1:
             t += 1
         return t

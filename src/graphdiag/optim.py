@@ -14,19 +14,18 @@ class DivergenceError(RuntimeError):
 
 
 class Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise MissingGradient(f"no gradient for parameter {getattr(p, 'name', i)!r}")
@@ -35,24 +34,16 @@ class Adam:
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             mhat = self.m[i] / (1 - b1 ** self.t)
             vhat = self.v[i] / (1 - b2 ** self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
             p.grad = None
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
-    def hyperparameters(self):
-        return {"kind": "adam", "lr": self.lr, "beta1": self.beta1,
-                "beta2": self.beta2, "eps": self.eps}
 
 
 class RMSProp:
-    def __init__(self, params, lr, rho=0.9, eps=1e-8):
+    RHO, EPS = 0.9, 1e-8
+
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.rho = rho
-        self.eps = eps
         self.t = 0
         self.s = [np.zeros_like(p.data) for p in self.params]
 
@@ -62,16 +53,9 @@ class RMSProp:
             if p.grad is None:
                 raise MissingGradient(f"no gradient for parameter {getattr(p, 'name', i)!r}")
             g = p.grad
-            self.s[i] = self.rho * self.s[i] + (1 - self.rho) * g * g
-            p.data -= self.lr * g / (np.sqrt(self.s[i]) + self.eps)
+            self.s[i] = self.RHO * self.s[i] + (1 - self.RHO) * g * g
+            p.data -= self.lr * g / (np.sqrt(self.s[i]) + self.EPS)
             p.grad = None
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
-    def hyperparameters(self):
-        return {"kind": "rmsprop", "lr": self.lr, "rho": self.rho, "eps": self.eps}
 
 
 def make_optimizer(kind, params, lr):

@@ -146,10 +146,6 @@ class TestForwardValues:
                 acc -= t[i, j] * np.log(r[i, j]) + (1 - t[i, j]) * np.log(1 - r[i, j])
         assert got == pytest.approx(acc / 9, abs=1e-12)
 
-    def test_mse_matrix(self):
-        got = ad.mse_matrix(ad.Tensor([[1.0, 2.0]]), np.array([[0.0, 0.0]])).item()
-        assert got == pytest.approx(2.5)
-
 
 class TestKernelOracles:
     """The fast gather, segment and conv1d kernels against plain loops."""
@@ -369,10 +365,6 @@ class TestConvEpilogue:
         for shape in [(5,), (1, 4), ()]:
             with pytest.raises(ad.ShapeError, match="bias"):
                 ad.conv1d(x, w, bias=np.zeros(shape))
-
-    def test_layer_rejects_unknown_activation(self):
-        with pytest.raises(ValueError, match="activation"):
-            md.Conv1dLayer(3, 1, 4, np.random.default_rng(0), activation="tanh")
 
     def test_layer_keeps_one_output(self):
         rng = np.random.default_rng(4)
@@ -747,32 +739,36 @@ class TestGradCheck:
             t = (rng.random((4, 4)) < 0.5).astype(float)
 
             def fn():
-                return (ad.cross_entropy(z, y, mask)
-                        + ad.bce_matrix(ad.sigmoid(r), t)
-                        + ad.mse_matrix(ad.sigmoid(r), t))
+                return ad.cross_entropy(z, y, mask) + ad.bce_matrix(ad.sigmoid(r), t)
 
             return fn, [z, r]
 
         self.check(build, 2)
 
 
+def ip_bce_graph(rng, n, isolated=0):
+    """A random graph on n nodes whose last `isolated` nodes have no edge."""
+    pairs = rng.integers(0, n - isolated, size=(3 * n, 2)) if n > isolated else np.zeros((0, 2))
+    return gr.Graph(n, pairs[pairs[:, 0] != pairs[:, 1]])
+
+
 def ip_bce_case(rng, n, isolated=0, saturated=0):
-    """Embedding z (n, 3), the pattern of a random symmetric A with `isolated`
-    edge-free nodes, and A dense.  `saturated` rows of z get norm ~6, so the
-    logits they meet lie beyond the eps clamp."""
+    """Embedding z (n, 3), a random symmetric A with `isolated` edge-free
+    nodes as the BceTarget of its graph's A + I operator, and A dense.
+    `saturated` rows of z get norm ~6, so the logits they meet lie beyond the
+    eps clamp."""
     z = rng.normal(size=(n, 3))
     if saturated:
         big = rng.choice(n, size=saturated, replace=False)
         z[big] *= 6.0 / np.linalg.norm(z[big], axis=1, keepdims=True)
-    pairs = rng.integers(0, n - isolated, size=(3 * n, 2)) if n > isolated else np.zeros((0, 2))
-    g = gr.Graph(n, pairs[pairs[:, 0] != pairs[:, 1]])
-    return z, gr.mean_propagation(g), g.adjacency()
+    g = ip_bce_graph(rng, n, isolated)
+    return z, ad.BceTarget(gr.sym_propagation(g)), g.adjacency()
 
 
-def ip_bce_compare(z, pattern, target):
+def ip_bce_compare(z, ones, target):
     """(loss, grad) of inner_product_bce and of the composition bce_matrix(sigmoid(Z Z^T), A)."""
     fused = ad.Parameter(z.copy())
-    loss = ad.inner_product_bce(fused, pattern)
+    loss = ad.inner_product_bce(fused, ones)
     loss.backward()
     plain = ad.Parameter(z.copy())
     ref = ad.bce_matrix(ad.sigmoid(ad.matmul(plain, ad.transpose(plain, (1, 0)))), target)
@@ -792,8 +788,8 @@ class TestBceLogits:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_composition(self, seed):
         rng = np.random.default_rng(seed)
-        z, pattern, target = ip_bce_case(rng, 9, saturated=3)
-        loss, grad, ref, ref_grad = ip_bce_compare(z, pattern, target)
+        z, ones, target = ip_bce_case(rng, 9, saturated=3)
+        loss, grad, ref, ref_grad = ip_bce_compare(z, ones, target)
         logits = z @ z.T
         assert (np.abs(logits) > 17.0).any()
         assert abs(loss - ref) <= 1e-12 * abs(ref)
@@ -802,33 +798,32 @@ class TestBceLogits:
     def test_grad_check(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            z, pattern, _ = ip_bce_case(rng, 6)
+            z, ones, _ = ip_bce_case(rng, 6)
             z = ad.Parameter(z)
-            assert ad.grad_check(lambda: ad.inner_product_bce(z, pattern), [z]) < FD_TOL
+            assert ad.grad_check(lambda: ad.inner_product_bce(z, ones), [z]) < FD_TOL
 
     def test_shape_errors(self):
-        _, pattern, _ = ip_bce_case(np.random.default_rng(0), 4)
+        _, ones, _ = ip_bce_case(np.random.default_rng(0), 4)
         with pytest.raises(ad.ShapeError):
-            ad.inner_product_bce(ad.Tensor(np.zeros(4)), pattern)
+            ad.inner_product_bce(ad.Tensor(np.zeros(4)), ones)
         with pytest.raises(ad.ShapeError):
-            ad.inner_product_bce(ad.Tensor(np.zeros((4, 2, 1))), pattern)
+            ad.inner_product_bce(ad.Tensor(np.zeros((4, 2, 1))), ones)
         for rows in (3, 5):
             with pytest.raises(ad.ShapeError):
-                ad.inner_product_bce(ad.Tensor(np.zeros((rows, 2))), pattern)
-        with pytest.raises(ad.ShapeError):
-            ad.inner_product_bce(ad.Tensor(np.zeros((4, 2))), sparse.csr_matrix((4, 5)))
+                ad.inner_product_bce(ad.Tensor(np.zeros((rows, 2))), ones)
 
     def test_no_ones_is_all_zero_target(self):
         z = np.random.default_rng(3).normal(size=(3, 2))
-        pattern = gr.mean_propagation(gr.Graph(3, []))
-        loss, grad, ref, ref_grad = ip_bce_compare(z, pattern, np.zeros((3, 3)))
+        ones = ad.BceTarget(gr.sym_propagation(gr.Graph(3, [])))   # I alone
+        loss, grad, ref, ref_grad = ip_bce_compare(z, ones, np.zeros((3, 3)))
         assert loss == pytest.approx(ref, rel=1e-15)
         assert_close_rel(grad, ref_grad)
 
 
 def ip_bce_per_call(x, pattern, eps=1e-7):
     """(loss, dZ) of inner_product_bce's row-block walk as it was when each
-    call indexed every block's ones anew, with 2-d fancy indices."""
+    call indexed every block's ones anew, with 2-d fancy indices, from the
+    CSR pattern of A's ones."""
     n = x.shape[0]
     indptr, indices = pattern.indptr, pattern.indices
     dz = np.zeros_like(x)
@@ -868,25 +863,42 @@ class TestBceTarget:
     @pytest.mark.parametrize("seed,n", [(0, 131), (1, 150), (2, 64)])
     def test_loss_and_gradient_bytes_match_the_per_call_index(self, seed, n):
         rng = np.random.default_rng(seed)
-        z, pattern, target = ip_bce_case(rng, n, isolated=3, saturated=4)
+        z, kept, target = ip_bce_case(rng, n, isolated=3, saturated=4)
         assert not target[-1].any()
-        loss_want, dz_want = ip_bce_per_call(z, pattern)
-        kept = ad.BceTarget(pattern)
-        for t in (pattern, kept, kept):
+        loss_want, dz_want = ip_bce_per_call(z, sparse.csr_matrix(target))
+        for _ in range(2):
             zp = ad.Parameter(z.copy())
-            loss = ad.inner_product_bce(zp, t)
+            loss = ad.inner_product_bce(zp, kept)
             loss.backward()
             assert loss.data.tobytes() == np.float64(loss_want).tobytes()
             assert zp.grad.tobytes() == dz_want.tobytes()
 
     def test_block_indices(self):
         g = gr.Graph(3, [(0, 1), (1, 2)])
-        kept = ad.BceTarget(gr.mean_propagation(g))
+        kept = ad.BceTarget(gr.sym_propagation(g))
         assert kept.shape == (3, 3)
         # one block of 3 x 3: the ones (0, 1), (1, 0), (1, 2), (2, 1)
         assert [f.tolist() for f in kept.flat] == [[1, 3, 5, 7]]
         with pytest.raises(ad.ShapeError, match="square"):
             ad.BceTarget(sparse.csr_matrix((3, 4)))
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 131])
+    def test_a_plus_i_pattern_gives_the_ones_of_a(self, n):
+        """Built from the cached A + I operator, the target holds the flat
+        indices of one built from A's own pattern, isolated nodes included."""
+        g = ip_bce_graph(np.random.default_rng(n), n, isolated=min(n, 5))
+        a_dense = g.adjacency()
+        assert not a_dense[n - min(n, 5):].any()
+        own = ad.BceTarget(sparse.csr_matrix(a_dense))
+        kept = ad.BceTarget(gr.sym_propagation(g))
+        assert kept.shape == own.shape == (n, n)
+        assert len(kept.flat) == len(own.flat) == -(-n // ad.IP_BCE_BLOCK)
+        for k, (got, want) in enumerate(zip(kept.flat, own.flat)):
+            assert np.array_equal(got, want)
+            a, b = k * ad.IP_BCE_BLOCK, min(n, (k + 1) * ad.IP_BCE_BLOCK)
+            block = np.zeros((b - a, n - a))
+            block.reshape(-1)[got] = 1.0
+            assert np.array_equal(block, a_dense[a:b, a:])
 
 
 class TestInnerProductBce:
@@ -896,17 +908,17 @@ class TestInnerProductBce:
     def test_block_edges_match_composition(self, n):
         assert ad.IP_BCE_BLOCK == 64
         rng = np.random.default_rng(n)
-        z, pattern, target = ip_bce_case(rng, n, isolated=min(n, 5), saturated=min(n, 4))
+        z, ones, target = ip_bce_case(rng, n, isolated=min(n, 5), saturated=min(n, 4))
         assert not target[n - min(n, 5):].any()
-        loss, grad, ref, ref_grad = ip_bce_compare(z, pattern, target)
+        loss, grad, ref, ref_grad = ip_bce_compare(z, ones, target)
         assert abs(loss - ref) <= 1e-12 * abs(ref)
         assert_close_rel(grad, ref_grad)
 
     def test_fully_saturated_has_zero_gradient(self):
         # every logit is 800, beyond the clamp, so no entry passes a gradient
         z = ad.Parameter(np.full((70, 2), 20.0))
-        _, pattern, target = ip_bce_case(np.random.default_rng(1), 70)
-        loss = ad.inner_product_bce(z, pattern)
+        _, ones, target = ip_bce_case(np.random.default_rng(1), 70)
+        loss = ad.inner_product_bce(z, ones)
         loss.backward()
         assert not z.grad.any()
         r = 1.0 - 1e-7                     # every sigmoid clamps to 1 - eps
@@ -914,21 +926,21 @@ class TestInnerProductBce:
         assert loss.item() == pytest.approx(want, rel=1e-12)
 
     def test_records_nothing_without_grad(self):
-        z, pattern, _ = ip_bce_case(np.random.default_rng(2), 10)
+        z, ones, _ = ip_bce_case(np.random.default_rng(2), 10)
         with ad.no_grad():
-            out = ad.inner_product_bce(ad.Parameter(z), pattern)
+            out = ad.inner_product_bce(ad.Parameter(z), ones)
         assert not out.requires_grad
-        assert out.item() == ad.inner_product_bce(ad.Tensor(z), pattern).item()
+        assert out.item() == ad.inner_product_bce(ad.Tensor(z), ones).item()
 
     def test_memory_stays_far_below_n_squared(self):
         n = 5000
         rng = np.random.default_rng(4)
         z = ad.Parameter(rng.normal(scale=0.3, size=(n, 16)))
         pairs = rng.integers(0, n, size=(5 * n, 2))
-        pattern = gr.mean_propagation(gr.Graph(n, pairs[pairs[:, 0] != pairs[:, 1]]))
+        ones = ad.BceTarget(gr.sym_propagation(gr.Graph(n, pairs[pairs[:, 0] != pairs[:, 1]])))
         tracemalloc.start()
         try:
-            loss = ad.inner_product_bce(z, pattern)
+            loss = ad.inner_product_bce(z, ones)
             loss.backward()
             peak = tracemalloc.get_traced_memory()[1]
         finally:

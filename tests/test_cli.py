@@ -107,6 +107,26 @@ class TestBuildGraph:
                     "--out", tmp_path / "g"])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("missing", ["manifest.json", "features.csv", "labels.csv"])
+    def test_dataset_file_missing_is_config_error(self, dataset_dir, tmp_path, capsys, missing):
+        partial = tmp_path / "partial"
+        partial.mkdir()
+        for name in {"manifest.json", "features.csv", "labels.csv"} - {missing}:
+            (partial / name).write_bytes((dataset_dir / name).read_bytes())
+        code = run(["build-graph", "--dataset", partial, "--graph", "knn", "--k", "3",
+                    "--out", tmp_path / "g"])
+        assert code == cli.EXIT_CONFIG
+        assert f"dataset file missing: {partial / missing}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["build-graph", "train", "curve"])
+    def test_missing_partition_file_rejected_before_loading_data(self, command, tmp_path,
+                                                                 capsys):
+        code = run([command, "--dataset", tmp_path / "missing", "--graph", "prior",
+                    "--partition", tmp_path / "nope.txt", "--out", tmp_path / "g"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--partition" in err and "does not exist" not in err
+
     def test_invalid_dataset_is_config_error(self, dataset_dir, tmp_path, capsys):
         bad = tmp_path / "bad"
         bad.mkdir()
@@ -311,6 +331,15 @@ class TestSeedsAndConfig:
         cfg_a = json.loads((out_a / "config.json").read_text())
         cfg_b = json.loads((out_b / "config.json").read_text())
         assert cfg_a["master_seed"] == cfg_b["master_seed"] == 11
+
+    def test_non_integer_env_seed_is_config_error(self, dataset_dir, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.setenv("GRAPHDIAG_SEED", "abc")
+        code = run(["build-graph", "--dataset", dataset_dir, "--graph", "knn",
+                    "--k", "3", "--out", tmp_path / "g"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "GRAPHDIAG_SEED" in err and "invalid literal" not in err
 
     def test_config_file_supplies_flags(self, dataset_dir, tmp_path):
         cfg = tmp_path / "cfg.json"

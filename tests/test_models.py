@@ -428,7 +428,7 @@ class TestFirstLayerInputs:
         assert g.derived(md.FirstLayerInputs) is inputs and inputs.x is inputs.x
         assert inputs.x.data.tobytes() == gb.standardize(x).tobytes()
         assert not inputs.x.requires_grad and not inputs.x.data.flags.writeable
-        sx = inputs.propagated(g, gr.sym_propagation).data
+        sx = inputs.propagated(g).data
         assert sx.tobytes() == (gr.sym_propagation(g) @ inputs.x.data).tobytes()
         both = inputs.with_aggregate(g).data
         assert both.tobytes() == np.concatenate([inputs.x.data, sx], axis=1).tobytes()
@@ -513,10 +513,10 @@ class TestStgcn:
             tracemalloc.stop()
         assert out.requires_grad
         rows, f = 300 * 3, 8                        # sensor-major rows, every width 8
-        t1 = (256 - model.k1 + 1) // model.pool     # t1a, pooled
-        t2 = t1 - model.k2 + 1                      # t1b, the propagation, the spatial matmul
-        t3 = (t2 - model.k2 + 1) // model.pool      # t2a, pooled
-        t4 = t3 - model.k2 + 1                      # t2b
+        t1 = (256 - model.K1 + 1) // model.POOL     # t1a, pooled
+        t2 = t1 - model.K2 + 1                      # t1b, the propagation, the spatial matmul
+        t3 = (t2 - model.K2 + 1) // model.POOL      # t2a, pooled
+        t4 = t3 - model.K2 + 1                      # t2b
         # the sensor-major input copy, one float64 array per layer and a
         # uint8 offset per pooled element; the unfused layers kept t1a's and
         # t2a's unpooled outputs and the spatial pre-ReLU product and mask
