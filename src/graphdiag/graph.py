@@ -137,18 +137,28 @@ def from_edge_list(pairs, n):
     return Graph(n, np.asarray(list(pairs), dtype=np.intp).reshape(-1, 2))
 
 
-def _build_sym_propagation(g, rows=None):
-    if rows is not None:
-        return sym_propagation(g)[rows]
+def _csr(values, rows, cols, n):
     # scipy.sparse takes ~0.2 s to import; only this operator needs it
     from scipy import sparse
 
-    i, j, loops = g.edges[:, 0], g.edges[:, 1], np.arange(g.n)
-    rows, cols = np.concatenate([i, j, loops]), np.concatenate([j, i, loops])
-    dinv = 1.0 / np.sqrt(np.bincount(rows, minlength=g.n))
-    m = sparse.csr_matrix((dinv[rows] * dinv[cols], (rows, cols)), shape=(g.n, g.n))
+    m = sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
     m.sort_indices()
     return m
+
+
+def _directed_edges(g):
+    return (np.concatenate([g.edges[:, 0], g.edges[:, 1]]),
+            np.concatenate([g.edges[:, 1], g.edges[:, 0]]))
+
+
+def _build_sym_propagation(g, rows=None):
+    if rows is not None:
+        return sym_propagation(g)[rows]
+    loops = np.arange(g.n)
+    rows, cols = _directed_edges(g)
+    rows, cols = np.concatenate([rows, loops]), np.concatenate([cols, loops])
+    dinv = 1.0 / np.sqrt(np.bincount(rows, minlength=g.n))
+    return _csr(dinv[rows] * dinv[cols], rows, cols, g.n)
 
 
 def sym_propagation(g, rows=None):
