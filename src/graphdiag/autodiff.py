@@ -10,7 +10,7 @@ operator, pointwise nonlinearities, a row gather (take_rows), sum, max and
 repeat over the contiguous segments of a row-sorted edge array, GAT
 attention as one fused op (gat_aggregate: scores, segment softmax and
 weighted neighbour sum, with a hand-written backward by sparse products
-that forms no per-edge gradient), 1-d convolution
+that forms no per-edge gradient), valid 1-d convolution at unit step
 (conv1d: per-tap GEMMs over cache-sized row blocks of the batch, broadcast
 products when Fin == 1, and an optional bias, ReLU and max pooling applied
 to each block in cache, so a conv layer is one node that keeps one array,
@@ -379,11 +379,11 @@ def mean_(a, axis=None, keepdims=False):
 CONV_BLOCK_ELEMENTS = 32768
 
 
-def conv1d(signal, kernel, stride=1, bias=None, relu=False, pool=1):
+def conv1d(signal, kernel, *, bias=None, relu=False, pool=1):
     """Valid cross-correlation.  signal: (B, T, Fin), kernel: (K, Fin, Fout).
 
     Each output element is summed as 0 + tap 0 + tap 1 + ..., where tap k is
-    x[:, k::stride] @ w[k], one GEMM per sample.  The taps run over row blocks
+    x[:, k:k + Tout] @ w[k], one GEMM per sample.  The taps run over row blocks
     of the batch, CONV_BLOCK_ELEMENTS output elements each, so a block takes
     all K taps while it is in cache; a tap is the same GEMM on every block
     size, so the bytes do not depend on the blocking (except the sign of a
@@ -421,12 +421,11 @@ def conv1d(signal, kernel, stride=1, bias=None, relu=False, pool=1):
         if bias.data.shape != (Fout,):
             raise ShapeError(f"conv1d bias must be ({Fout},), got {bias.data.shape}")
         parents = (x, w, bias)
-    Tout = (T - K) // stride + 1
+    Tout = T - K + 1
     if pool < 1:
         raise ShapeError(f"conv1d pool window {pool} is below 1")
     if pool > Tout:
         raise ShapeError(f"conv1d pool window {pool} exceeds output length {Tout}")
-    span = stride * Tout
     rows = max(1, CONV_BLOCK_ELEMENTS // max(1, Tout * Fout))
     offsets = None
     if pool > 1:
@@ -448,9 +447,9 @@ def conv1d(signal, kernel, stride=1, bias=None, relu=False, pool=1):
         ob = block[:b - a] if pool > 1 else out[a:b]
         if Fin == 1:
             ac, tp = acc[:b - a], tap[:b - a]
-            np.multiply(xs[a:b, None, :span:stride], wk[0], out=ac)
+            np.multiply(xs[a:b, None, :Tout], wk[0], out=ac)
             for k in range(1, K):
-                np.multiply(xs[a:b, None, k:k + span:stride], wk[k], out=tp)
+                np.multiply(xs[a:b, None, k:k + Tout], wk[k], out=tp)
                 ac += tp
             # + 0.0 turns a -0.0 sum into the +0.0 of a sum started at 0; it
             # comes before the bias, as (-0.0 + 0.0) + -0.0 is +0.0 but
@@ -460,7 +459,7 @@ def conv1d(signal, kernel, stride=1, bias=None, relu=False, pool=1):
             ob.fill(0.0)
             xb = x.data[a:b]
             for k in range(K):
-                ob += xb[:, k:k + span:stride] @ w.data[k]
+                ob += xb[:, k:k + Tout] @ w.data[k]
         if bias is not None:
             ob += bias.data
         if relu:
@@ -480,14 +479,14 @@ def conv1d(signal, kernel, stride=1, bias=None, relu=False, pool=1):
         if w.requires_grad:
             dw = np.empty_like(w.data)
             for k in range(K):
-                dw[k] = x.data[:, k:k + span:stride].reshape(-1, Fin).T @ g2
+                dw[k] = x.data[:, k:k + Tout].reshape(-1, Fin).T @ g2
         dx = None
         if x.requires_grad:
             dx = np.zeros_like(x.data)
             for a in range(0, B, rows):
                 gb, dxb = g[a:a + rows], dx[a:a + rows]
                 for k in range(K):
-                    dxb[:, k:k + span:stride] += gb @ w.data[k].T
+                    dxb[:, k:k + Tout] += gb @ w.data[k].T
         if bias is None:
             return dx, dw
         return dx, dw, g.sum(axis=0).sum(axis=0)

@@ -119,12 +119,10 @@ def _build_graph(args, dataset, features):
     raise ConfigError(f"unknown graph method {args.graph!r}")
 
 
-def _resolved_config(args, extra=None):
+def _resolved_config(args):
     cfg = {k: str(v) if isinstance(v, Path) else v
            for k, v in vars(args).items() if k != "func" and v is not None}
     cfg["master_seed"] = _master_seed(args)
-    if extra:
-        cfg.update(extra)
     return cfg
 
 
@@ -250,9 +248,7 @@ def cmd_report(args):
 
 # ---------------------------------------------------------------------------
 
-def build_parser(config=None):
-    """The argument parser; `config` (a --config file's contents) replaces
-    the subcommand defaults, so flags given on the command line still win."""
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="graphdiag",
         description="Graph-neural-network fault diagnosis toolkit")
@@ -270,7 +266,8 @@ def build_parser(config=None):
             p.add_argument("--graph", default="knn",
                            choices=["knn", "prior", "knn-gae"])
             p.add_argument("--k", type=int, default=45,
-                           help="KNN neighbor count (45/50/30 for the presets)")
+                           help="KNN neighbor count (the reference protocol uses 45, "
+                                "50 and 30 on rectifier-, motor- and tep-like)")
             p.add_argument("--tau", type=float, default=0.9,
                            help="GAE edge-acceptance threshold")
             p.add_argument("--partition", help="cluster-id file for --graph prior")
@@ -309,31 +306,51 @@ def build_parser(config=None):
     p = sub.add_parser("report", help="print aggregate reports from an output dir")
     common(p, dataset=False, graphopts=False, trainopts=False)
     p.set_defaults(func=cmd_report)
-    for p in sub.choices.values():
-        p.set_defaults(**(config or {}))
     return parser
 
 
-def _read_config(path, args):
-    """The --config file as {dest: value}; every key must be an option of args."""
+def _config_argv(path, args):
+    """The --config file as command-line text, so argparse checks each value
+    as it checks a flag; every key must be an option of args, and null leaves
+    the option unset."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     cfg = {key.replace("-", "_"): value for key, value in doc.items()}
     unknown = sorted(k for k in cfg if k not in vars(args) or k in ("command", "func", "config"))
     if unknown:
         raise ConfigError(f"unknown config keys for {args.command}: {unknown}")
-    return cfg
+    argv = []
+    for key, value in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):        # a store_true flag
+            if not isinstance(value, bool):
+                raise ConfigError(f"config file {path}: {key} must be true or false, "
+                                  f"got {json.dumps(value)}")
+            if value:
+                argv.append(flag)
+        elif value is not None:
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ConfigError(f"config file {path}: {key} must be a string or a number, "
+                                  f"got {json.dumps(value)}")
+            argv.append(f"{flag}={value}")
+    return argv
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
         if args.config:
-            args = build_parser(_read_config(args.config, args)).parse_args(argv)
+            # the file's options come first, so flags on the command line win
+            args = build_parser().parse_args(argv[:1] + _config_argv(args.config, args)
+                                             + argv[1:])
         if args.command == "generate" and not getattr(args, "preset", None):
             raise ConfigError("generate requires --preset")
         return args.func(args)

@@ -235,37 +235,31 @@ def train_baseline(dataset, masks, spec):
     return model, fit(model, spec, steps, score), inputs
 
 
-def train_and_predict(architecture, dataset, g, masks, spec, n_classes=None,
-                      sensor_graph_source="train"):
-    """Predicted classes of the test split, trained on g (node-level models)
-    or on dataset (STGCN and the baselines)."""
-    test = masks["test"]
-    trains_on = md.METHODS[architecture].trains_on
-    if trains_on == md.GRAPH:
-        model, _ = train_node_level(architecture, g, masks, spec, n_classes=n_classes)
-        return predict_node_level(model, g)[test]
-    if trains_on == md.SENSOR_GRAPH:
-        model, _, (mean, std) = train_graph_level(dataset, masks, spec,
-                                                  sensor_graph_source=sensor_graph_source)
-        inputs = (dataset.samples - mean) / std
-    else:
-        model, _, inputs = train_baseline(dataset, masks, spec)
-    if hasattr(model, "predict"):
-        return model.predict(inputs[test])
-    with ad.no_grad():
-        return model.forward(inputs[test]).data.argmax(axis=1)
-
-
 def run_seed(architecture, dataset, g, n_train, n_val, seed, spec=None, n_classes=None,
              sensor_graph_source="train"):
     """(masks, predicted test classes) of a stratified split of dataset's labels,
-    or g's without a dataset; the split and init seeds are drawn from `seed`."""
+    or g's without a dataset, trained on g (node-level models) or on dataset
+    (STGCN and the baselines); the split and init seeds are drawn from `seed`."""
     labels = g.labels if dataset is None else dataset.labels
     spec = replace(spec or md.default_spec(architecture),
                    seed=seed_stream(seed, f"{architecture}-init"))
     masks = split(labels, SplitSpec(n_train, n_val, seed=seed_stream(seed, "split")))
-    return masks, train_and_predict(architecture, dataset, g, masks, spec, n_classes=n_classes,
-                                    sensor_graph_source=sensor_graph_source)
+    test = masks["test"]
+    trains_on = md.METHODS[architecture].trains_on
+    if trains_on == md.GRAPH:
+        model, _ = train_node_level(architecture, g, masks, spec, n_classes=n_classes)
+        return masks, predict_node_level(model, g)[test]
+    if trains_on == md.SENSOR_GRAPH:
+        model, _, (mean, std) = train_graph_level(dataset, masks, spec,
+                                                  sensor_graph_source=sensor_graph_source)
+        test_inputs = (dataset.samples[test] - mean) / std
+    else:
+        model, _, inputs = train_baseline(dataset, masks, spec)
+        test_inputs = inputs[test]
+    if hasattr(model, "predict"):
+        return masks, model.predict(test_inputs)
+    with ad.no_grad():
+        return masks, model.forward(test_inputs).data.argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +351,15 @@ def aggregate_reports(reports, fingerprint=""):
 # ---------------------------------------------------------------------------
 # learning curves
 
-def _cell(architecture, dataset, g, n_train, n_val, seed, spec, n_classes=None):
+def _cell(architecture, dataset, g, n_train, n_val, seed, spec):
     """One (model, train size, seed) cell: run_seed's test accuracy."""
-    masks, pred = run_seed(architecture, dataset, g, n_train, n_val, seed, spec, n_classes)
+    masks, pred = run_seed(architecture, dataset, g, n_train, n_val, seed, spec)
     labels = g.labels if dataset is None else dataset.labels
     return float((pred == labels[masks["test"]]).mean())
 
 
-def run_node_experiment(architecture, g, n_train, n_val, seed, spec=None,
-                        n_classes=None):
-    return _cell(architecture, None, g, n_train, n_val, seed, spec, n_classes)
+def run_node_experiment(architecture, g, n_train, n_val, seed, spec=None):
+    return _cell(architecture, None, g, n_train, n_val, seed, spec)
 
 
 def run_baseline_experiment(architecture, dataset, n_train, n_val, seed, spec=None):

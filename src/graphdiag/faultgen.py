@@ -301,12 +301,41 @@ def save_dataset(ds, directory):
             fh.write(f"{int(y)}\n")
 
 
+def _loadtxt(path, **kwargs):
+    """np.loadtxt whose parse errors name the file."""
+    try:
+        return np.loadtxt(path, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_manifest(path):
+    """manifest.json as a dict whose shape, if any, is a list of positive
+    integers and whose classes are objects with a string name."""
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    shape = manifest.get("shape")
+    if shape is not None and not (isinstance(shape, list) and shape and all(
+            type(d) is int and d > 0 for d in shape)):
+        raise ValueError(f"{path}: shape must be a list of positive integers, got {shape!r}")
+    classes = manifest.get("classes", [])
+    if not (isinstance(classes, list) and all(
+            isinstance(c, dict) and isinstance(c.get("name"), str) for c in classes)):
+        raise ValueError(f"{path}: classes must be a list of objects with a string "
+                         f"name, got {classes!r}")
+    return manifest
+
+
 def load_dataset(directory):
     """Read a save_dataset directory; ValueError names the file of any mismatch.
 
-    Checked: the three files are present, one label per feature row, the
-    manifest shape against the values, finite values, and labels in
-    [0, number of classes).
+    Checked: the three files are present and parse, the manifest's shape and
+    classes are well formed, one label per feature row, the manifest shape
+    against the values, finite values, and labels in [0, number of classes).
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -314,9 +343,9 @@ def load_dataset(directory):
     for path in (manifest_path, features_path, labels_path):
         if not path.is_file():
             raise ValueError(f"dataset file missing: {path}")
-    manifest = json.loads(manifest_path.read_text())
-    flat = np.loadtxt(features_path, delimiter=",", ndmin=2)
-    labels = np.loadtxt(labels_path, dtype=np.intp, ndmin=1)
+    manifest = _read_manifest(manifest_path)
+    flat = _loadtxt(features_path, delimiter=",", ndmin=2)
+    labels = _loadtxt(labels_path, dtype=np.intp, ndmin=1)
     if len(flat) != len(labels):
         raise ValueError(f"{features_path} has {len(flat)} rows but {labels_path} "
                          f"has {len(labels)} labels")

@@ -30,7 +30,7 @@ class GraphError(ValueError):
 
 
 class Graph:
-    __slots__ = ("n", "edges", "features", "labels", "_hash", "_derived", "_derived_rows")
+    __slots__ = ("n", "edges", "features", "labels", "_derived", "_derived_rows")
 
     def __init__(self, n, edges, features=None, labels=None):
         try:
@@ -120,13 +120,6 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return self.n == other.n and np.array_equal(self.edges, other.edges)
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash((self.n, self.edges.tobytes()))
-            return self._hash
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.n_edges})"

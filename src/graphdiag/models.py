@@ -13,7 +13,7 @@ from the graph's `FirstLayerInputs`: once per graph, not per epoch.
 No program path forms an N x N array; the dense `GaeModel.forward` is a
 small-graph reference; GAE training and refinement score Z in row blocks.  A
 1-d conv layer (GCN's conv head, STGCN's temporal blocks, the 1d-CNN) is one
-stride-1 `ad.conv1d` call that adds its bias, applies its ReLU and, in
+`ad.conv1d` call that adds its bias, applies its ReLU and, in
 STGCN's and the 1d-CNN's pooled layers, max-pools inside the op, so it keeps
 one output array (and a uint8 argmax offset when it pools).  Dense, GCN and
 GraphSage layers are likewise one `ad.matmul` call with the bias and ReLU
@@ -280,7 +280,7 @@ class Dense:
 
 
 class Conv1dLayer:
-    """relu(conv1d(x, kernel) + bias), stride 1, max-pooled over windows of
+    """relu(conv1d(x, kernel) + bias), max-pooled over windows of
     `pool` steps when pool > 1, as one conv1d node."""
 
     def __init__(self, k, c_in, c_out, rng, pool=1, name="conv"):

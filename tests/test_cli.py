@@ -138,6 +138,24 @@ class TestBuildGraph:
         assert code == cli.EXIT_CONFIG == 2
         assert "has 40 rows but" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text", [
+        ("manifest.json", '{"shape": [40, "a"], "classes": [{"name": "normal"}, {"name": "fault"}]}'),
+        ("manifest.json", '{"shape": [40, 8], "classes": [{"nm": 1}]}'),
+        ("manifest.json", '{"shape": [40, 8],'),
+        ("labels.csv", "0\n1.5\n" + "0\n" * 38),
+    ], ids=["shape-not-integers", "class-without-name", "broken-json", "fractional-label"])
+    def test_malformed_dataset_file_is_config_error(self, dataset_dir, tmp_path, capsys,
+                                                     name, text):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for f in ("manifest.json", "features.csv", "labels.csv"):
+            (bad / f).write_bytes((dataset_dir / f).read_bytes())
+        (bad / name).write_text(text)
+        code = run(["build-graph", "--dataset", bad, "--graph", "knn", "--k", "3",
+                    "--out", tmp_path / "g"])
+        assert code == cli.EXIT_CONFIG
+        assert str(bad / name) in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, dataset_dir, tmp_path):
         out = tmp_path / "g"
         args = ["build-graph", "--dataset", dataset_dir, "--graph", "knn",
@@ -381,3 +399,37 @@ class TestSeedsAndConfig:
         code = run(["build-graph", "--dataset", dataset_dir,
                     "--config", tmp_path / "nope.json", "--out", tmp_path / "g"])
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("doc, named", [
+        ('{"model": 3}', "model"),
+        ('{"dataset": 5}', "dataset"),
+        ('{"graph": "prior", "partition": 3}', "--partition"),
+        ('{"k": true}', "k must be"),
+        ('{"sensor_graph_from_test": "false"}', "sensor_graph_from_test"),
+        ('{"k": 3,', "cfg.json"),
+    ], ids=["model-number", "dataset-number", "partition-number", "k-boolean",
+            "flag-string", "broken-json"])
+    def test_bad_config_value_is_config_error(self, dataset_dir, tmp_path, capsys, doc, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        argv = ["train", "--config", cfg, "--epochs", "1", "--seeds", "1", "--out", tmp_path / "o"]
+        if "dataset" not in doc:
+            argv += ["--dataset", dataset_dir]
+        assert run(argv) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
+    def test_config_values_are_checked_as_flags(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": "bogus"}))
+        with pytest.raises(SystemExit) as exc:
+            run(["build-graph", "--dataset", dataset_dir, "--config", cfg, "--out", tmp_path / "g"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "argument --graph: invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_null_config_value_leaves_the_default(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 3, "tau": None}))
+        out = tmp_path / "g"
+        assert run(["build-graph", "--dataset", dataset_dir, "--config", cfg, "--out", out]) == 0
+        written = json.loads((out / "config.json").read_text())
+        assert (written["k"], written["tau"]) == (3, 0.9)
