@@ -194,10 +194,10 @@ def cmd_train(args):
     for name, spec in specs.items():
         reports = []
         for seed in seeds:
-            masks, pred = dg.run_seed(name, dataset, g, args.train_size, args.val_size, seed,
-                                      spec, n_classes=dataset.n_classes,
-                                      sensor_graph_source=source)
-            rep = dg.evaluate_predictions(dataset.labels[masks["test"]], pred,
+            masks, scores = dg.run_seed(name, dataset, g, args.train_size, args.val_size, seed,
+                                        spec, n_classes=dataset.n_classes,
+                                        sensor_graph_source=source)
+            rep = dg.evaluate_predictions(dataset.labels[masks["test"]], scores.argmax(axis=1),
                                           dataset.n_classes, graph_quality=quality,
                                           fingerprint=fingerprint, seeds=[seed])
             rep.write(out / f"report_{name}_seed{seed}.json")

@@ -4,14 +4,16 @@ Node-level training is transductive (test labels are never read): every
 epoch runs the first graph layers over the whole graph, and the last graph
 layer and the head only at the train and validation nodes, which the masked
 loss and the model selection read; prediction runs the whole graph.
-Graph-level training is minibatched over samples with the sensor
-graph built from channel correlations.  Each trainer prepares its data and
+STGCN (over a channel-correlation sensor graph) and the MLP and 1d-CNN
+baselines share one sample trainer, which reshuffles the train split each
+epoch: STGCN steps in minibatches, the baselines in one batch.  Each trainer
 yields the optimizer steps of an epoch; `optim.fit` runs the epochs, checks
 for divergence, records the loss trace and restores the best-on-validation
-parameters.  `run_seed` splits, trains and predicts the test split for one
-seed, with the trainer that the `models.METHODS` row's input kind picks; the
-CLI's `train` reports on it and every learning-curve cell scores it.
-Reports are deterministic JSON documents per (config, seed).
+parameters.  `run_seed` splits and trains for one seed, with the trainer that
+the `models.METHODS` row's input kind picks, and returns the test rows' class
+scores from one no-grad forward (logits, or KNN vote counts); the CLI's
+`train` and every learning-curve cell take their argmax.  Reports are
+deterministic JSON documents per (config, seed).
 """
 
 from __future__ import annotations
@@ -72,12 +74,11 @@ def split(labels, spec):
                 base[c] += 1
         elif short < 0:
             order = np.argsort(quota - np.floor(quota), kind="stable")
-            for c in order:
-                if short == 0:
-                    break
-                if base[c] > floor:
-                    base[c] -= 1
-                    short += 1
+            while short < 0:        # a pass takes at most one node from each class
+                for c in order:
+                    if short < 0 and base[c] > floor:
+                        base[c] -= 1
+                        short += 1
         for member, take in zip(members, base):
             pool = np.flatnonzero(member)
             picked[rng.choice(pool, size=min(take, len(pool)), replace=False)] = True
@@ -152,16 +153,38 @@ def correlation_sensor_graph(samples, threshold=0.5):
     return Graph(c, np.argwhere(np.triu(np.abs(r) >= threshold, 1)))
 
 
-def _score_after_step(model, inputs, labels):
-    """fit's post-step validation score of a sample model; None without samples."""
-    if not len(labels):
-        return None
+def _train_stats(x, axis):
+    """(mean, std) of the train split's x over axis; a constant column's std is 1."""
+    std = x.std(axis=axis)
+    return x.mean(axis=axis), np.where(std > 0, std, 1.0)
+
+
+def _fit_samples(model, inputs, dataset, masks, spec, stream, batch_size=None):
+    """optim.fit of a sample model on inputs' train rows, reshuffled each epoch
+    by the RNG stream `stream`, in batches of batch_size rows or else in one;
+    the validation rows are scored after each epoch.  A step's trace weight is
+    its batch size, or 1 without batch_size, so that the one batch's trace
+    entry is the loss itself: (loss * n) / n can differ from it."""
+    rng = np.random.default_rng(seed_stream(spec.seed, stream))
+    train_idx = np.flatnonzero(masks["train"])
+    val_x, val_y = inputs[masks["val"]], dataset.labels[masks["val"]]
+    y = one_hot(dataset.labels, dataset.n_classes)
+    step = batch_size or len(train_idx)
+
+    def steps(epoch):
+        order = rng.permutation(train_idx)
+        for start in range(0, len(order), step):
+            idx = order[start:start + step]
+            logits = model.forward(inputs[idx])
+            yield (ad.cross_entropy(logits, y[idx], np.ones(len(idx), dtype=bool)),
+                   len(idx) if batch_size else 1, None)
 
     def score(_epoch):
         with ad.no_grad():
-            pred = model.forward(inputs).data.argmax(axis=1)
-        return float((pred == labels).mean())
-    return score
+            pred = model.forward(val_x).data.argmax(axis=1)
+        return float((pred == val_y).mean())
+
+    return fit(model, spec, steps, score if len(val_y) else None)
 
 
 def train_graph_level(dataset, masks, spec, sensor_graph_source="train",
@@ -179,26 +202,11 @@ def train_graph_level(dataset, masks, spec, sensor_graph_source="train",
                          f"valid: {sorted(masks)}")
     src_mask = masks[sensor_graph_source]
     sensor_graph = correlation_sensor_graph(dataset.samples[src_mask], corr_threshold)
-    n_classes = dataset.n_classes
-    model = md.StgcnModel(dataset.samples.shape[2], n_classes, spec, sensor_graph)
-    rng = np.random.default_rng(seed_stream(spec.seed, "stgcn-batches"))
-    train_idx = np.flatnonzero(masks["train"])
-    val_idx = np.flatnonzero(masks["val"])
-    y = one_hot(dataset.labels, n_classes)
-    mean = dataset.samples[train_idx].mean(axis=(0, 1))
-    std = dataset.samples[train_idx].std(axis=(0, 1))
-    std = np.where(std > 0, std, 1.0)
+    model = md.StgcnModel(dataset.samples.shape[2], dataset.n_classes, spec, sensor_graph)
+    mean, std = _train_stats(dataset.samples[masks["train"]], (0, 1))
     xs = (dataset.samples - mean) / std
-
-    def steps(epoch):
-        order = rng.permutation(train_idx)
-        for start in range(0, len(order), batch_size):
-            idx = order[start:start + batch_size]
-            logits = model.forward(xs[idx])
-            yield ad.cross_entropy(logits, y[idx], np.ones(len(idx), dtype=bool)), len(idx), None
-
-    score = _score_after_step(model, xs[val_idx], dataset.labels[val_idx])
-    return model, fit(model, spec, steps, score), (mean, std)
+    trace = _fit_samples(model, xs, dataset, masks, spec, "stgcn-batches", batch_size)
+    return model, trace, (mean, std)
 
 
 def train_baseline(dataset, masks, spec):
@@ -209,57 +217,44 @@ def train_baseline(dataset, masks, spec):
         raise ValueError(f"unknown baseline {arch!r}")
     if method.trains_on == md.SERIES and not dataset.is_timeseries:
         raise ValueError(f"{arch} baseline needs time-series data")
-    train_idx = np.flatnonzero(masks["train"])
-    val_idx = np.flatnonzero(masks["val"])
+    train = masks["train"]
     flat = dataset.samples.reshape(len(dataset.samples), -1)
-    mean = flat[train_idx].mean(axis=0)
-    std = flat[train_idx].std(axis=0)
-    std = np.where(std > 0, std, 1.0)
+    mean, std = _train_stats(flat[train], 0)
     xs = (flat - mean) / std
     inputs = xs.reshape(dataset.samples.shape) if method.trains_on == md.SERIES else xs
     if hasattr(method.model, "fit"):                # fitted in one call, no epochs
-        clf = method.model()
-        return clf.fit(inputs[train_idx], dataset.labels[train_idx]), [], inputs
-    n_classes = dataset.n_classes
-    model = method.model(inputs.shape[-1], n_classes, spec)
-    y = one_hot(dataset.labels, n_classes)
-    rng = np.random.default_rng(seed_stream(spec.seed, "baseline-batches"))
-
-    def steps(epoch):
-        order = rng.permutation(train_idx)
-        logits = model.forward(inputs[order])
-        # weight 1: the trace entry is the loss itself, not (loss * n) / n
-        yield ad.cross_entropy(logits, y[order], np.ones(len(order), dtype=bool)), 1, None
-
-    score = _score_after_step(model, inputs[val_idx], dataset.labels[val_idx])
-    return model, fit(model, spec, steps, score), inputs
+        return method.model().fit(inputs[train], dataset.labels[train]), [], inputs
+    model = method.model(inputs.shape[-1], dataset.n_classes, spec)
+    return model, _fit_samples(model, inputs, dataset, masks, spec, "baseline-batches"), inputs
 
 
 def run_seed(architecture, dataset, g, n_train, n_val, seed, spec=None, n_classes=None,
              sensor_graph_source="train"):
-    """(masks, predicted test classes) of a stratified split of dataset's labels,
-    or g's without a dataset, trained on g (node-level models) or on dataset
-    (STGCN and the baselines); the split and init seeds are drawn from `seed`."""
+    """(masks, test scores) of a stratified split of dataset's labels, or g's
+    without a dataset, trained on g (node-level models) or on dataset (STGCN
+    and the baselines); the split and init seeds are drawn from `seed`.  The
+    scores are one no-grad forward's (n_test, n_classes) logits, or the KNN
+    classifier's vote counts; their argmax, the first of tied maxima, is the
+    predicted class."""
     labels = g.labels if dataset is None else dataset.labels
     spec = replace(spec or md.default_spec(architecture),
                    seed=seed_stream(seed, f"{architecture}-init"))
     masks = split(labels, SplitSpec(n_train, n_val, seed=seed_stream(seed, "split")))
     test = masks["test"]
     trains_on = md.METHODS[architecture].trains_on
+    rows = slice(None)
     if trains_on == md.GRAPH:
         model, _ = train_node_level(architecture, g, masks, spec, n_classes=n_classes)
-        return masks, predict_node_level(model, g)[test]
-    if trains_on == md.SENSOR_GRAPH:
+        inputs, rows = (g.derived(md.FirstLayerInputs).x, g), test
+    elif trains_on == md.SENSOR_GRAPH:
         model, _, (mean, std) = train_graph_level(dataset, masks, spec,
                                                   sensor_graph_source=sensor_graph_source)
-        test_inputs = (dataset.samples[test] - mean) / std
+        inputs = ((dataset.samples[test] - mean) / std,)
     else:
         model, _, inputs = train_baseline(dataset, masks, spec)
-        test_inputs = inputs[test]
-    if hasattr(model, "predict"):
-        return masks, model.predict(test_inputs)
+        inputs = (inputs[test],)
     with ad.no_grad():
-        return masks, model.forward(test_inputs).data.argmax(axis=1)
+        return masks, model.forward(*inputs).data[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +296,7 @@ class DiagnosisReport:
 
 def confusion_matrix(true, pred, n_classes):
     cm = np.zeros((n_classes, n_classes), dtype=np.intp)
-    for t, p in zip(true, pred):
-        cm[t, p] += 1
+    np.add.at(cm, (true, pred), 1)
     return cm
 
 
@@ -352,10 +346,10 @@ def aggregate_reports(reports, fingerprint=""):
 # learning curves
 
 def _cell(architecture, dataset, g, n_train, n_val, seed, spec):
-    """One (model, train size, seed) cell: run_seed's test accuracy."""
-    masks, pred = run_seed(architecture, dataset, g, n_train, n_val, seed, spec)
+    """One (model, train size, seed) cell: the test accuracy of run_seed's argmax."""
+    masks, scores = run_seed(architecture, dataset, g, n_train, n_val, seed, spec)
     labels = g.labels if dataset is None else dataset.labels
-    return float((pred == labels[masks["test"]]).mean())
+    return float((scores.argmax(axis=1) == labels[masks["test"]]).mean())
 
 
 def run_node_experiment(architecture, g, n_train, n_val, seed, spec=None):

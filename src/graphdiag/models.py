@@ -30,6 +30,7 @@ through the row slice of S, and GAT's second layer
 attends over a `GatEdgeIndex` of the rows' segments; the earlier layers
 stay full-graph.
 
+Every method scores with `forward`: logits, or `KnnClassifier`'s class votes.
 `METHODS` declares each method once: its table defaults, what it trains on
 and its model class.  `default_spec`, `build_node_model`, the CLI's model
 names and `diagnose`'s dispatch read it, so a new method is one row.
@@ -510,16 +511,16 @@ class KnnClassifier:
         self.y = np.asarray(y, dtype=np.intp)
         return self
 
-    def predict(self, x):
+    def forward(self, x):
+        """Each row's votes for classes 0 to the top training label among its K nearest."""
         # graphbuild imports this module, so its kernel is imported at call time
         from .graphbuild import nearest_indices
 
         x = np.asarray(x, dtype=np.float64).reshape(len(x), -1)
         votes = self.y[nearest_indices(x, self.x, min(self.k, len(self.y)))]
-        out = np.empty(len(x), dtype=np.intp)
-        for i, row in enumerate(votes):
-            out[i] = np.bincount(row).argmax()
-        return out
+        n = int(self.y.max()) + 1
+        flat = (np.arange(len(x))[:, None] * n + votes).ravel()
+        return Tensor(np.bincount(flat, minlength=len(x) * n).reshape(len(x), n))
 
 
 # What a method trains on; the kind picks its trainer in diagnose

@@ -82,6 +82,15 @@ class TestSplit:
         with pytest.raises(ValueError):
             dg.split(labels, dg.SplitSpec(3, 0))
 
+    @pytest.mark.parametrize("n_train", [6, 7, 10, 20])
+    def test_rare_classes_keep_the_exact_train_size(self, n_train):
+        # each rare class's quota rounds up to the floor of one node, so the
+        # large class gives back more than one pass takes
+        labels = np.repeat(np.arange(6), [1000, 10, 10, 10, 10, 10])
+        masks = dg.split(labels, dg.SplitSpec(n_train, 5, seed=0))
+        assert masks["train"].sum() == n_train
+        assert np.bincount(labels[masks["train"]], minlength=6).min() >= 1
+
 
 class TestTrainNodeLevel:
     def spec(self, arch):
@@ -421,6 +430,15 @@ class TestEvaluation:
         cm = dg.confusion_matrix([0, 0, 1, 1, 1], [0, 1, 1, 1, 0], 2)
         assert cm.tolist() == [[1, 1], [1, 2]]
 
+    def test_confusion_matches_per_sample_loop(self):
+        # repeated (true, pred) pairs must each count, as in the loop
+        rng = np.random.default_rng(10)
+        true, pred = rng.integers(0, 4, size=200), rng.integers(0, 4, size=200)
+        want = np.zeros((4, 4), dtype=np.intp)
+        for t, q in zip(true, pred):
+            want[t, q] += 1
+        assert dg.confusion_matrix(true, pred, 4).tolist() == want.tolist()
+
     def test_report_metrics(self):
         rep = dg.evaluate_predictions([0, 0, 1, 1, 1], [0, 1, 1, 1, 0], 2)
         assert rep.accuracy == pytest.approx(0.6)
@@ -460,6 +478,23 @@ class TestEvaluation:
         assert agg.accuracy == pytest.approx(0.75)
         assert agg.std == pytest.approx(0.25)
         assert agg.seeds == [0, 1]
+
+
+class TestRunSeed:
+    @pytest.mark.parametrize("arch", ["gcn", "stgcn", "mlp", "cnn1d", "knn-classifier"])
+    def test_scores_every_test_row_and_their_argmax_is_the_cell(self, arch):
+        process = fg.ProcessSpec(channels=3, horizon=48, noise_std=0.3)
+        plan = [("normal", None, 12),
+                ("fault1", fg.FaultSpec("step", 3.0, 0.25, (1,)), 12),
+                ("fault2", fg.FaultSpec("step", 3.0, 0.25, (2,)), 12)]
+        ds = fg.generate_dataset(process, plan, 11)
+        g = gb.knn_graph(gb.extract_feature_matrix(ds.samples), 5, labels=ds.labels)
+        spec = md.default_spec(arch, epochs=2)
+        masks, scores = dg.run_seed(arch, ds, g, 9, 6, seed=3, spec=spec)
+        assert scores.dtype == np.float64
+        assert scores.shape == (masks["test"].sum(), 3)
+        acc = float((scores.argmax(axis=1) == ds.labels[masks["test"]]).mean())
+        assert acc == dg._cell(arch, ds, g, 9, 6, 3, spec)
 
 
 class TestLearningCurve:

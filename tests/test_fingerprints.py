@@ -32,5 +32,6 @@ def test_cli_rerun_prints_the_same_lines():
     files = {line[2] for line in lines}
     assert {"train-rectifier/report_knn-classifier_seed3.json",
             "train-stgcn-test-graph/report_stgcn_seed3.json",
-            "train-tep/report_cnn1d_seed3.json", "curve-motor/learning_curve.csv"} <= files
+            "train-tep/report_cnn1d_seed3.json", "curve-motor/learning_curve.csv",
+            "curve-rectifier/learning_curve.csv"} <= files
     assert fingerprints(*argv) == first

@@ -553,13 +553,20 @@ class TestBaselines:
         x = rng.normal(size=(20, 4))
         y = rng.integers(0, 3, size=20)
         clf = md.KnnClassifier(k=1).fit(x, y)
-        assert np.array_equal(clf.predict(x), y)
+        assert np.array_equal(clf.forward(x).data.argmax(axis=1), y)
 
     def test_knn_majority_vote(self):
         x = np.array([[0.0], [0.1], [0.2], [5.0]])
         y = np.array([1, 1, 0, 0])
         clf = md.KnnClassifier(k=3).fit(x, y)
-        assert clf.predict(np.array([[0.05]]))[0] == 1
+        assert clf.forward(np.array([[0.05]])).data.argmax(axis=1)[0] == 1
+
+    def test_knn_tied_votes_score_equally_and_the_lower_class_wins(self):
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([2, 1, 2, 1])
+        scores = md.KnnClassifier(k=4).fit(x, y).forward(np.array([[1.5]])).data
+        assert scores.tolist() == [[0.0, 2.0, 2.0]]
+        assert scores.argmax(axis=1).tolist() == [1]
 
     def test_knn_separated_clusters(self):
         rng = np.random.default_rng(28)
@@ -568,8 +575,8 @@ class TestBaselines:
         x = np.concatenate([a, b])
         y = np.array([0] * 15 + [1] * 15)
         clf = md.KnnClassifier(k=5).fit(x, y)
-        assert np.array_equal(clf.predict(np.array([[0.0, 0.0], [20.0, 20.0]])),
-                              [0, 1])
+        scores = clf.forward(np.array([[0.0, 0.0], [20.0, 20.0]])).data
+        assert np.array_equal(scores.argmax(axis=1), [0, 1])
 
     @pytest.mark.parametrize("budget", [1, 7 * 40 * 3, None])
     def test_knn_row_blocks_match_one_block(self, budget, monkeypatch):
@@ -582,7 +589,9 @@ class TestBaselines:
         d2 = ((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
         votes = y[np.argsort(d2, axis=1, kind="stable")[:, :5]]
         want = [np.bincount(row).argmax() for row in votes]
-        assert np.array_equal(md.KnnClassifier(k=5).fit(x, y).predict(q), want)
+        scores = md.KnnClassifier(k=5).fit(x, y).forward(q).data
+        assert np.array_equal(scores.argmax(axis=1), want)
+        assert np.array_equal(scores, [np.bincount(row, minlength=4) for row in votes])
 
     def test_knn_predict_memory_is_bounded(self):
         rng = np.random.default_rng(30)
@@ -590,7 +599,7 @@ class TestBaselines:
         q = rng.normal(size=(200, 1536))
         tracemalloc.start()
         try:
-            clf.predict(q)
+            clf.forward(q).data.argmax(axis=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

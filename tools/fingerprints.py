@@ -42,6 +42,8 @@ CLI_COMMANDS = [
      "--model", "stgcn", "--sensor-graph-from-test"],
     ["train", "--preset", "tep-like", "--out", "train-tep", "--model", "stgcn,cnn1d"],
     ["curve", "--preset", "motor-like", "--out", "curve-motor"],
+    ["curve", "--preset", "rectifier-like", "--out", "curve-rectifier",
+     "--model", "stgcn,cnn1d,knn-classifier", "--sizes", "10,20"],
 ]
 
 
